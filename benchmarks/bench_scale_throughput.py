@@ -29,19 +29,7 @@ Each scenario runs once per pipeline tier:
   Skipped with a note when the extension is not built;
 * **array** — the full stack on the array-backed state plane (PR 4:
   columnar views + journaled packed profiles + the state bookkeeping
-  kernels, ``REPRO_ARRAY_STATE``);
-* **sharded** — the array stack with the cycle loop process-sharded
-  across ``--shards`` workers (PR 5's ``repro.simulation.sharding``:
-  shared-memory state arenas + columnar shard-boundary mailboxes,
-  ``REPRO_SHARDS``).  The report records the host core count alongside
-  ``sharded_cps`` — on boxes with fewer cores than shards the workers
-  time-slice and the number measures overhead, not scale-out.  The
-  sharded section additionally sweeps the cross-shard mailbox encoding
-  (PR 7's ``repro.simulation.wire``: ``pickle`` / ``columns`` /
-  ``delta``), recording bytes/cycle and cps per tier plus the delta
-  wire's reduction against the committed PR 6 pickle-wire baseline —
-  byte counts are deterministic per configuration, so that acceptance
-  is host-independent.
+  kernels, ``REPRO_ARRAY_STATE``).
 
 The array and native runs also report the resident footprint of the node
 state (views + profiles, bytes/node via the ``storage_nbytes()`` facade)
@@ -84,7 +72,6 @@ from repro.core.similarity import (
 )
 from repro.experiments.scale import SCALES
 from repro.simulation.delivery import delivery_batching
-from repro.simulation.sharding import shard_wire, sharding
 
 #: benchmark seed (deterministic suite)
 BENCH_SEED = 2
@@ -155,45 +142,6 @@ ACCEPTANCE_TARGETS = {
     "paper-synthetic": 1.3,
 }
 
-#: the committed PR 4 ``array_cps`` values — the standing baseline the
-#: PR 5 sharding acceptance ratio ("≥1.8× paired-median cycles/sec at
-#: paper-synthetic scale with 4 shards on a ≥4-core box") is measured
-#: against; kept inline so a rewritten JSON cannot move its own goalposts
-PR4_BASELINE_CPS = {
-    "small-survey": 34.6757,
-    "medium-survey": 6.7163,
-    "medium-synthetic": 2.9581,
-    "paper-synthetic": 0.63,
-}
-
-#: scenario -> target sharded speedup over the committed PR 4 baseline
-#: (only meaningful on hosts with at least as many cores as shards)
-SHARDED_ACCEPTANCE_TARGETS = {
-    "paper-synthetic": 1.8,
-}
-
-#: the committed PR 6 ``mailbox.bytes_per_cycle`` values (the interned-
-#: pickle wire at 4 shards) — the baseline the PR 7 columnar-delta-wire
-#: acceptance ("≥4x fewer mailbox bytes/cycle at medium-synthetic")
-#: is measured against; inline so a rewritten JSON cannot move the bar
-PR6_BASELINE_MAILBOX = {
-    "small-survey": 793832.7,
-    "medium-survey": 6379859.7,
-    "medium-synthetic": 7088024.7,
-    "paper-synthetic": 32584839.9,
-}
-
-#: scenario -> target bytes/cycle reduction of the delta wire vs the
-#: committed PR 6 pickle-wire baseline (byte counts are deterministic
-#: per configuration, so this acceptance is host-independent)
-WIRE_ACCEPTANCE_TARGETS = {
-    "medium-synthetic": 4.0,
-}
-
-#: wire tiers swept in the sharded section, heaviest first (the default
-#: engine tier, ``delta``, is the main sharded run itself)
-WIRE_SWEEP_TIERS = ("pickle", "columns")
-
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scale_throughput.json"
 
 
@@ -223,32 +171,19 @@ def memory_report(system: WhatsUpSystem) -> dict:
     }
 
 
-def run_mode(
-    spec: dict,
-    mode: str,
-    seed: int = BENCH_SEED,
-    shards: int = 1,
-    wire: str = "delta",
-) -> dict:
+def run_mode(spec: dict, mode: str, seed: int = BENCH_SEED) -> dict:
     """One fresh fixed-seed run of a pipeline tier (see :data:`MODES`).
 
     The restore-guarded context managers pin the batch/native/array
     gates for the run and put the previous settings back even if it
-    raises.  ``mode="sharded"`` runs the array tier under
-    ``REPRO_SHARDS=shards`` with the *wire* mailbox encoding — the timed
-    region covers the cycles only; collecting worker state back into the
-    parent happens after the clock stops (it is an end-of-run cost, not
-    a per-cycle one).
+    raises.
     """
-    batch, native, arrays = MODES["array" if mode == "sharded" else mode]
-    n_shards = shards if mode == "sharded" else 1
+    batch, native, arrays = MODES[mode]
     with (
         batch_scoring(batch),
         delivery_batching(batch),
         native_kernel(native),
         array_state(arrays),
-        sharding(n_shards),
-        shard_wire(wire),
     ):
         default_score_cache().clear()
         system = build_system(spec, seed)
@@ -256,32 +191,8 @@ def run_mode(
         t0 = time.perf_counter()
         system.engine.run(cycles)
         elapsed = time.perf_counter() - t0
-        mailbox = None
-        if mode == "sharded":
-            system.run(cycles=0, drain=False)  # adopt worker state, untimed
-            per_shard = system.engine.mailbox_stats()
-            total = sum(
-                s["shm_bytes"] + s["inline_bytes"] for s in per_shard
-            )
-            wire_stats: dict = {"tier": wire}
-            for s in per_shard:
-                for key, value in s["wire"].items():
-                    if key != "tier":
-                        wire_stats[key] = wire_stats.get(key, 0) + value
-            mailbox = {
-                "shm_bytes": sum(s["shm_bytes"] for s in per_shard),
-                "inline_bytes": sum(s["inline_bytes"] for s in per_shard),
-                "bytes_per_cycle": round(total / max(1, cycles), 1),
-                "chunk_retries": sum(s["chunk_retries"] for s in per_shard),
-                "crc_failures": sum(s["crc_failures"] for s in per_shard),
-                "dup_chunks": sum(s["dup_chunks"] for s in per_shard),
-                "wire": wire_stats,
-            }
         memory = memory_report(system)
-        close = getattr(system.engine, "close", None)
-        if close is not None:
-            close()
-    result = {
+    return {
         "n_users": len(system.nodes),
         "n_items": system.dataset.n_items,
         "cycles": cycles,
@@ -289,9 +200,6 @@ def run_mode(
         "cycles_per_sec": round(cycles / elapsed, 4),
         "memory": memory,
     }
-    if mailbox is not None:
-        result["mailbox"] = mailbox
-    return result
 
 
 def _system_state(system: WhatsUpSystem) -> dict:
@@ -354,45 +262,6 @@ def check_equivalence(spec: dict, seed: int = BENCH_SEED) -> dict:
     }
 
 
-def check_shard_determinism(
-    spec: dict, seed: int = BENCH_SEED, shards: int = 2
-) -> dict:
-    """Two fresh sharded runs at a fixed seed must be identical.
-
-    Shard counts above 1 are not bitwise-comparable to the single-process
-    engine (sub-cycle interleaving differs; see
-    :mod:`repro.simulation.sharding`), so the gate here is *run-to-run
-    stability*: same seed, same shard count, same bits.  ``REPRO_SHARDS=1``
-    needs no check of its own — it constructs the very same
-    ``CycleEngine`` the other tiers run, which the tier equivalence
-    above already pins.
-    """
-    batch, native, arrays = MODES["array"]
-    states = []
-    for _ in range(2):
-        with (
-            batch_scoring(batch),
-            delivery_batching(batch),
-            native_kernel(native),
-            array_state(arrays),
-            sharding(shards),
-        ):
-            default_score_cache().clear()
-            system = build_system(spec, seed)
-            system.engine.run(spec["cycles"])
-            system.run(cycles=0, drain=False)
-            states.append(_system_state(system))
-            close = getattr(system.engine, "close", None)
-            if close is not None:
-                close()
-    return {
-        "cycles": spec["cycles"],
-        "seed": seed,
-        "shards": shards,
-        "sharded_runs_identical": states[0] == states[1],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -408,12 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="JSON of {scenario: pre-PR cycles/sec} to merge",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="worker count for the sharded tier (0 disables it)",
     )
     args = parser.parse_args(argv)
 
@@ -496,59 +359,6 @@ def main(argv: list[str] | None = None) -> int:
             entry["speedup_array_vs_pr3"] = round(
                 array["cycles_per_sec"] / pr3, 3
             )
-        if args.shards >= 2 and entry["n_users"] >= 2 * args.shards:
-            print(
-                f"[{name}] sharded ({args.shards} workers, "
-                f"{os.cpu_count()} cores) ..."
-            )
-            shard = run_mode(spec, "sharded", shards=args.shards)
-            print(f"[{name}]   {shard['cycles_per_sec']} cycles/sec")
-            entry["shards"] = args.shards
-            entry["sharded_cps"] = shard["cycles_per_sec"]
-            if "mailbox" in shard:
-                entry["mailbox"] = shard["mailbox"]
-            entry["speedup_sharded_vs_array"] = round(
-                shard["cycles_per_sec"] / array["cycles_per_sec"], 3
-            )
-            pr4 = PR4_BASELINE_CPS.get(name)
-            if pr4:
-                entry["pr4_baseline_cps"] = pr4
-                entry["speedup_sharded_vs_pr4"] = round(
-                    shard["cycles_per_sec"] / pr4, 3
-                )
-            # wire sweep: the same sharded run per encoding tier, so
-            # the bytes/cycle story (and its cps cost) is tracked per
-            # tier; the default delta run above doubles as its own entry
-            sweep = {
-                "delta": {
-                    "bytes_per_cycle": shard["mailbox"]["bytes_per_cycle"],
-                    "wire_frame_bytes": shard["mailbox"]["wire"][
-                        "frame_bytes"
-                    ],
-                    "cps": shard["cycles_per_sec"],
-                }
-            }
-            for tier in WIRE_SWEEP_TIERS:
-                print(f"[{name}] sharded wire={tier} ...")
-                alt = run_mode(spec, "sharded", shards=args.shards, wire=tier)
-                print(f"[{name}]   {alt['cycles_per_sec']} cycles/sec")
-                sweep[tier] = {
-                    "bytes_per_cycle": alt["mailbox"]["bytes_per_cycle"],
-                    "wire_frame_bytes": alt["mailbox"]["wire"]["frame_bytes"],
-                    "cps": alt["cycles_per_sec"],
-                }
-            entry["wire_tiers"] = sweep
-            entry["wire_reduction_vs_pickle"] = round(
-                sweep["pickle"]["bytes_per_cycle"]
-                / sweep["delta"]["bytes_per_cycle"],
-                2,
-            )
-            pr6 = PR6_BASELINE_MAILBOX.get(name)
-            if pr6:
-                entry["pr6_baseline_mailbox_bytes_per_cycle"] = pr6
-                entry["wire_reduction_vs_pr6"] = round(
-                    pr6 / sweep["delta"]["bytes_per_cycle"], 2
-                )
         report["scenarios"][name] = entry
 
     modes_label = (
@@ -557,13 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[equivalence] {modes_label} on small-survey ...")
     report["equivalence"] = check_equivalence(SCENARIOS["small-survey"])
     print(f"[equivalence]   {report['equivalence']}")
-
-    if args.shards >= 2:
-        print("[equivalence] sharded determinism on small-survey ...")
-        report["sharding"] = check_shard_determinism(
-            SCENARIOS["small-survey"], shards=min(2, args.shards)
-        )
-        print(f"[equivalence]   {report['sharding']}")
 
     cache = default_score_cache()
     report["cache"] = {"hits": cache.hits, "misses": cache.misses}
@@ -579,32 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         acceptance[scenario] = {
             "target_speedup": target,
             "achieved_speedup": achieved,
-            "met": achieved >= target,
-        }
-    for scenario, target in SHARDED_ACCEPTANCE_TARGETS.items():
-        entry = report["scenarios"].get(scenario)
-        if entry is None or "speedup_sharded_vs_pr4" not in entry:
-            continue
-        achieved = entry["speedup_sharded_vs_pr4"]
-        cores = os.cpu_count() or 1
-        acceptance[f"sharded:{scenario}"] = {
-            "target_speedup": target,
-            "achieved_speedup": achieved,
-            "met": achieved >= target,
-            "shards": entry["shards"],
-            "cores": cores,
-            # the ISSUE's bar presumes one core per worker; below that the
-            # workers time-slice and the ratio measures overhead only
-            "valid_host": cores >= entry["shards"],
-        }
-    for scenario, target in WIRE_ACCEPTANCE_TARGETS.items():
-        entry = report["scenarios"].get(scenario)
-        if entry is None or "wire_reduction_vs_pr6" not in entry:
-            continue
-        achieved = entry["wire_reduction_vs_pr6"]
-        acceptance[f"wire:{scenario}"] = {
-            "target_reduction": target,
-            "achieved_reduction": achieved,
             "met": achieved >= target,
         }
     if acceptance:

@@ -2,9 +2,8 @@
 
 Reads a freshly produced ``bench_scale_throughput.py`` report and the
 committed ``BENCH_scale_throughput.json`` baseline, then compares
-``batch_cps`` — and, when both reports carry them, ``native_cps``, the
-array-state-plane ``array_cps`` and the process-sharded ``sharded_cps`` —
-per scenario:
+``batch_cps`` — and, when both reports carry them, ``native_cps`` and
+the array-state-plane ``array_cps`` — per scenario:
 
 * a regression beyond ``--threshold`` (default 25%) **fails** the check for
   scenarios large enough to measure reliably;
@@ -12,19 +11,8 @@ per scenario:
   noisy on shared runners, so regressions there only **warn**;
 * a fresh report without ``native_cps`` (no compiler on the runner) only
   warns — the no-compiler fallback leg is a supported configuration;
-* ``sharded_cps`` regressions only **warn** when the fresh host has fewer
-  cores than shards (the workers time-slice; the number measures overhead,
-  not scale-out) — on an adequately sized runner they gate like any tier;
-* shard-boundary mailbox traffic (``mailbox.bytes_per_cycle``) growing
-  beyond the threshold **fails** — on every scenario, including the
-  ``small-*`` ones: the quantity is deterministic per configuration
-  (hosts don't affect it), so growth means the wire format or the
-  shipment selection genuinely got heavier.  Intentional protocol
-  changes update the committed baseline in the same PR;
 * a failed equivalence flag in the fresh report always fails — a perf win
-  that changes outcomes is not a win.  The sharded determinism flag
-  (``sharding.sharded_runs_identical``) is part of that rule: a sharded
-  run that is not reproducible at a fixed seed fails the gate.
+  that changes outcomes is not a win.
 
 Usage (the CI ``perf-trajectory`` job)::
 
@@ -53,20 +41,18 @@ def compare(
     failures: list[str] = []
     warnings: list[str] = []
 
-    for section in ("equivalence", "sharding"):
-        block = fresh.get(section, {})
-        flags = [v for k, v in block.items() if k.endswith("identical")]
-        if flags and not all(flags):
-            failures.append(f"{section} check FAILED in the fresh report: {block}")
+    block = fresh.get("equivalence", {})
+    flags = [v for k, v in block.items() if k.endswith("identical")]
+    if flags and not all(flags):
+        failures.append(f"equivalence check FAILED in the fresh report: {block}")
 
-    cores = fresh.get("host", {}).get("cpu_count") or 1
     base_scenarios = baseline.get("scenarios", {})
     for name, entry in fresh.get("scenarios", {}).items():
         base = base_scenarios.get(name)
         if base is None:
             warnings.append(f"{name}: no baseline entry, skipping")
             continue
-        for key in ("batch_cps", "native_cps", "array_cps", "sharded_cps"):
+        for key in ("batch_cps", "native_cps", "array_cps"):
             base_cps = base.get(key)
             new_cps = entry.get(key)
             if not base_cps:
@@ -74,7 +60,7 @@ def compare(
                     # batch_cps is mandatory in every baseline; a silent
                     # skip here would gate zero comparisons while green
                     warnings.append(f"{name}: baseline missing {key}")
-                continue  # native/sharded: not tracked in this baseline yet
+                continue  # native/array: not tracked in this baseline yet
             if not new_cps:
                 # a fresh report without the native path (no compiler on
                 # the runner) is the supported fallback configuration
@@ -88,45 +74,10 @@ def compare(
             if ratio < 1.0 - threshold:
                 if name.startswith(WARN_ONLY_PREFIXES):
                     warnings.append(f"{line} - regression (warn-only scale)")
-                elif key == "sharded_cps" and cores < entry.get("shards", 2):
-                    warnings.append(
-                        f"{line} - regression (host has {cores} cores for "
-                        f"{entry.get('shards')} shards; warn-only)"
-                    )
                 else:
                     failures.append(f"{line} - regression beyond threshold")
             else:
                 warnings.append(f"{line} - ok")
-        # mailbox traffic gate (hard): the shard-boundary bytes per
-        # cycle are deterministic for a given configuration — hosts
-        # don't affect them, so growth beyond the threshold means the
-        # wire format or the shipment selection genuinely got heavier.
-        # That gates on every scenario, small ones included; intentional
-        # protocol changes update the committed baseline in the same PR.
-        base_mail = (base.get("mailbox") or {}).get("bytes_per_cycle")
-        new_mail = (entry.get("mailbox") or {}).get("bytes_per_cycle")
-        if base_mail and new_mail:
-            ratio = new_mail / base_mail
-            line = (
-                f"{name} mailbox bytes/cycle: {new_mail:.0f} vs baseline "
-                f"{base_mail:.0f} ({ratio:.2f}x)"
-            )
-            if ratio > 1.0 + threshold:
-                failures.append(f"{line} - traffic growth beyond threshold")
-            else:
-                warnings.append(f"{line} - ok")
-        # per-tier wire bytes (warn lines): tracked so a tier that stops
-        # earning its keep is visible in the CI log
-        base_tiers = base.get("wire_tiers") or {}
-        new_tiers = entry.get("wire_tiers") or {}
-        for tier in sorted(set(base_tiers) & set(new_tiers)):
-            b = base_tiers[tier].get("bytes_per_cycle")
-            n = new_tiers[tier].get("bytes_per_cycle")
-            if b and n:
-                warnings.append(
-                    f"{name} wire[{tier}] bytes/cycle: {n:.0f} vs "
-                    f"baseline {b:.0f} ({n / b:.2f}x)"
-                )
     return failures, warnings
 
 

@@ -39,11 +39,11 @@ rules make this sound:
   keeps the arrays alive, which the pack guarantees by construction for
   its whole lifetime (the arrays are immutable-by-convention; any
   mutation produces a *new* pack and a new descriptor).
-* **Process-locality** — raw addresses never survive a process boundary.
-  The pickle layer (``__getstate__``) nulls ``_nd`` on every pack class,
-  and the kernels refill it via the object's ``_pack()`` on first native
-  contact in the receiving process.  The same rule covers the address
-  caches on :class:`~repro.gossip.views.ArrayView`.
+* **Process-locality** — raw addresses mean something only in the
+  process that took them.  Nothing in the simulator serialises a pack or
+  a view, so ``_nd`` is always filled by the object's own ``_pack()`` on
+  first native contact, in the process that uses it.  The same rule
+  covers the address caches on :class:`~repro.gossip.views.ArrayView`.
 
 The address contract (state kernels)
 ------------------------------------
@@ -52,12 +52,8 @@ The ``state_*`` bookkeeping kernels take the view's column-block base
 address and payload-column base address as **plain integers** cached on
 the view (no per-call ``from_buffer`` marshaling; the first-cut design
 that marshalled buffers per call measured *slower* than the numpy tier).
-The addresses are refreshed whenever the block is reallocated — including
-:meth:`~repro.gossip.views.ArrayView.rehome`, which moves the block into
-a ``multiprocessing.shared_memory`` arena under the sharded engine.  A
-mapped address is an address: the kernels are agnostic to whether the
-memory is private or shared (asserted by the shm parity tests in
-``tests/test_sharding.py``).
+The addresses are refreshed whenever the block is reallocated, which
+happens only in ``ArrayView._allocate``.
 
 GIL notes
 ---------
@@ -68,9 +64,8 @@ kernels that move payload references with refcounting (``state_upsert``,
 ``state_select``, ``state_trim_drop``) — re-acquires it via
 ``PyGILState_Ensure`` for exactly the object-touching region.  The
 purely numeric kernels (``rank_topk``, ``argmax_ties``, ``state_oldest``,
-``state_find``, ``state_ship``) run GIL-free.  Shard workers are
-separate processes with separate interpreters, so the GIL never couples
-shards; no kernel ever blocks while holding it.
+``state_find``, ``state_ship``) run GIL-free.  No kernel ever blocks
+while holding the GIL.
 """
 
 from __future__ import annotations

@@ -34,28 +34,20 @@ An :class:`~repro.gossip.views.ArrayView` owns exactly two stores:
 
 The base addresses of both are cached on the view and handed to the
 native state kernels as plain integers (the zero-marshaling contract —
-see the :mod:`repro._native` module docstring).  Three ownership rules
+see the :mod:`repro._native` module docstring).  Two ownership rules
 follow:
 
-* **Addresses are process-local.**  Pickling serialises live rows only
-  and rebuilds the block (and its cached addresses) on unpickling; the
-  cached native descriptors on packed profiles are nulled the same way.
-* **The numeric block is relocatable; the payload column is not.**
-  :meth:`~repro.gossip.views.ArrayView.rehome` moves ``_cols`` into
-  caller-provided storage — under ``REPRO_SHARDS>1`` a per-shard
-  ``multiprocessing.shared_memory`` arena — and rebinds the addresses;
-  ``_pobj`` holds object references and always stays private to the
-  owning process.
-* **Growth falls back to private memory.**  A view that outgrows a
-  mapped block reallocates privately and abandons the arena slot (the
-  shard arena is a bump allocator without ``free``); correctness never
-  depends on residency, only the zero-copy read path does.
+* **Addresses are refreshed on reallocation.**  ``ArrayView._allocate``
+  is the only place the block moves, and it rebinds the row views and
+  the cached addresses together.
+* **The payload column holds references.**  ``_pobj`` keeps the
+  :class:`~repro.gossip.views.ViewEntry` objects alive; the kernels that
+  move them (``state_upsert``, ``state_select``, ``state_trim_drop``)
+  do the reference counting.
 
 Packed profile columns (sorted ``uint64`` ids + ``float64`` scores with
-the set-op journal) reallocate on every applied mutation batch and are
-therefore **never** mapped into shared memory — the measured design
-trade-offs live in ``PERFORMANCE.md`` (section "Process-sharded
-cycles").
+the set-op journal) reallocate on every applied mutation batch, so each
+version's native descriptor is built once, on first kernel contact.
 """
 
 from __future__ import annotations

@@ -111,33 +111,6 @@ class BeepForwarder:
         self._pool_binary: bool = False
         self._pool: PackedPool | None = None
 
-    def __getstate__(self) -> dict:
-        """Serialize protocol state only: no score cache, no pool memo.
-
-        The score cache is process-wide shared state (rebound to the
-        receiving process's default cache) and the packed RPS pool is a
-        pure function of the current view content (rebuilt lazily on
-        first use) — dropping both keeps node transfers slim and every
-        outcome bit-identical.
-        """
-        return {
-            "config": self.config,
-            "metric": self.metric,
-            "metric_name": self.metric_name,
-            "rng": self.rng,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.cache = default_score_cache()
-        self._pool_tag = -1
-        self._pool_view = None
-        self._pool_entries = []
-        self._pool_profiles = []
-        self._pool_binary = False
-        self._pool = None
-
     def _view_pool(self, rps_view: View) -> list[ViewEntry]:
         """Refresh the memoised pool state for the current view generation."""
         tag = rps_view.mutation_count

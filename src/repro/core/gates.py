@@ -6,20 +6,14 @@ This module is the **single declared gate-registry module** of the tree
 Gate-owning modules call these helpers once at import time to seed their
 module globals; programmatic callers use :class:`repro.api.RunConfig`,
 which parses a passed-in mapping with the same helpers and therefore the
-same spellings, floors, and invalid-value fallbacks.
+same spellings.
 
 Parse rules (shared with ``RunConfig.from_env``):
 
 * **flags** — any of ``0``/``false``/``no``/``off`` (case-insensitive)
   disables, everything else enables;
-* **ints/floats** — parsed with an optional floor (``max(floor, value)``)
-  and an invalid-value fallback to the default, so a typo in the
-  environment selects the documented default instead of crashing an
-  import;
-* **choices** — stripped, lower-cased, and validated against the owning
-  module's declared tuple, falling back to the default;
 * **raw** — the verbatim string (callers own any further parsing, e.g.
-  the fault-schedule DSL).
+  the scale-profile name).
 
 The helpers accept an explicit ``env`` mapping so ``RunConfig.from_env``
 (and tests) can parse arbitrary snapshots without touching the process
@@ -34,9 +28,6 @@ from typing import Mapping
 __all__ = [
     "DISABLED_WORDS",
     "env_flag",
-    "env_int",
-    "env_float",
-    "env_choice",
     "env_raw",
 ]
 
@@ -57,48 +48,6 @@ def env_flag(
     """Parse a boolean gate: off iff the value is a disabled word."""
     raw = _mapping(env).get(name, "1" if default else "0")
     return raw.lower() not in DISABLED_WORDS
-
-
-def env_int(
-    name: str,
-    default: int,
-    *,
-    floor: int | None = None,
-    env: Mapping[str, str] | None = None,
-) -> int:
-    """Parse an integer knob with an optional floor and default fallback."""
-    try:
-        value = int(_mapping(env).get(name, default))
-    except ValueError:
-        value = default
-    return value if floor is None else max(floor, value)
-
-
-def env_float(
-    name: str,
-    default: float,
-    *,
-    floor: float | None = None,
-    env: Mapping[str, str] | None = None,
-) -> float:
-    """Parse a float knob with an optional floor and default fallback."""
-    try:
-        value = float(_mapping(env).get(name, default))
-    except ValueError:
-        return default
-    return value if floor is None else max(floor, value)
-
-
-def env_choice(
-    name: str,
-    default: str,
-    choices: tuple[str, ...],
-    *,
-    env: Mapping[str, str] | None = None,
-) -> str:
-    """Parse an enum knob: strip + lower-case, fall back on unknown values."""
-    raw = _mapping(env).get(name, default).strip().lower()
-    return raw if raw in choices else default
 
 
 def env_raw(

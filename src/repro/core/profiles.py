@@ -186,20 +186,6 @@ class PackedView:
             self.is_binary,
         )
 
-    def __getstate__(self) -> dict:
-        """Drop the native descriptor: its raw addresses are process-local.
-
-        Everything else round-trips; the kernels refill ``_nd`` lazily on
-        first native contact in the receiving process.
-        """
-        state = {name: getattr(self, name) for name in PackedView.__slots__}
-        state["_nd"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-
 
 def _derived_pack(
     ids: np.ndarray, vals: np.ndarray, norm: float, is_binary: bool
@@ -778,114 +764,8 @@ class FrozenProfile:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def __getstate__(self) -> dict:
-        """Serialize the canonical fields only; derived state rebuilds.
-
-        Snapshots are the bulk of every cross-shard gossip blob (view
-        shipments carry one per descriptor), so the wire form matters:
-        the like/rated frozensets and the packed ``uint64``/``float64``
-        arrays are pure functions of ``scores`` and are rebuilt (sets
-        eagerly, arrays lazily on first pack contact) instead of
-        travelling — measured ≈3× fewer bytes, ≈7× faster ``dumps`` and
-        ≈2× faster combined dumps+loads on realistic shipment blobs
-        (loads pay the set rebuild back).  The native descriptor
-        (raw process-local addresses) never travels.  ``uid`` does
-        round-trip: it stays globally consistent across shard workers
-        because each worker allocates fresh uids from a disjoint range
-        (see :mod:`repro.simulation.sharding`).
-        """
-        return {
-            "scores": self.scores,
-            "norm": self.norm,
-            "is_binary": self.is_binary,
-            "uid": self.uid,
-            "version": self.version,
-            "wire_cache": self.wire_cache,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        scores = state["scores"]
-        self.scores = scores
-        self.liked = frozenset(
-            iid for iid, s in scores.items() if s > 0.0
-        )
-        self.rated = frozenset(scores)
-        self.norm = state["norm"]
-        self.is_binary = state["is_binary"]
-        self.uid = state["uid"]
-        self.version = state["version"]
-        self._liked_ids = None
-        self._rated_ids = None
-        self._rated_scores = None
-        self._nd = None
-        self.wire_cache = state["wire_cache"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FrozenProfile(n={len(self.scores)}, liked={len(self.liked)})"
-
-
-_MISSING = object()
-
-
-def _same_float(a: float, b: float) -> bool:
-    """Exact (bitwise-faithful) float equality: ±0.0 differ, NaN ≠ NaN."""
-    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
-def score_delta(
-    base: dict[int, float], new: dict[int, float]
-) -> "tuple[list[int], list[float], list[int]] | None":
-    """The op-journal-shaped diff turning *base* into *new*.
-
-    Returns ``(set_ids, set_values, removed_ids)`` — the minimal set-op
-    journal whose replay over *base* produces *new* — or ``None`` when
-    the diff is not strictly smaller than shipping the dict whole.
-    Comparison is float-exact (``-0.0`` vs ``0.0`` and NaN count as
-    changes), so the replay is bitwise-faithful.
-
-    Every profile mutation *is* a set-op (:meth:`UserProfile.set_score`
-    journals exactly these pairs), so when *base* and *new* are snapshots
-    of one profile timeline this reconstructs the ops that ran between
-    the two versions: surviving keys keep their *base* dict slots,
-    (re)rated keys re-append in op order — replay reproduces *new*'s
-    exact insertion order, not just its mapping.  The cross-shard wire
-    (:mod:`repro.simulation.wire`) relies on both properties.
-    """
-    set_ids: list[int] = []
-    set_vals: list[float] = []
-    get = base.get
-    for k, v in new.items():
-        bv = get(k, _MISSING)
-        if bv is _MISSING or not _same_float(bv, v):
-            set_ids.append(k)
-            set_vals.append(v)
-    removed = [k for k in base if k not in new]
-    # worth it only when strictly slimmer than the full (id, score) table
-    if 2 * len(set_ids) + len(removed) >= 2 * len(new):
-        return None
-    return set_ids, set_vals, removed
-
-
-def apply_score_delta(
-    base: dict[int, float],
-    set_ids: "list[int]",
-    set_values: "list[float]",
-    removed: "list[int]",
-) -> dict[int, float]:
-    """Replay a :func:`score_delta` journal over *base* (a new dict).
-
-    Removals first, then the set-ops in order — the order the mutations
-    originally ran, so the result's dict insertion order matches the
-    sender's.  A removal naming an absent key raises ``KeyError``: the
-    delta was made against a different base, and corrupting a profile
-    silently would be far worse.
-    """
-    scores = dict(base)
-    for k in removed:
-        del scores[k]
-    for k, v in zip(set_ids, set_values, strict=True):
-        scores[k] = v
-    return scores
 
 
 class UserProfile(Profile):

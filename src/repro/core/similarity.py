@@ -571,18 +571,6 @@ class _EphemeralPack:
             self.is_binary,
         )
 
-    def __getstate__(self) -> dict:
-        """Drop the native descriptor (raw process-local addresses)."""
-        state = {
-            name: getattr(self, name) for name in _EphemeralPack.__slots__
-        }
-        state["_nd"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-
 
 def _pack(profile: ProfileLike):
     """A packed view of *profile* exposing sorted id/score arrays + uid."""

@@ -21,8 +21,8 @@ from repro.core.config import WhatsUpConfig
 from repro.core.node import OpinionFn, WhatsUpNode
 from repro.gossip.bootstrap import random_view_bootstrap
 from repro.network.transport import Transport
+from repro.simulation.engine import CycleEngine
 from repro.simulation.harness import SystemHarness
-from repro.simulation.sharding import make_engine
 from repro.utils.exceptions import SimulationError
 from repro.utils.rng import RngStreams
 
@@ -64,7 +64,7 @@ class WhatsUpSystem(SystemHarness):
         Optional churn model.
     run_config:
         Optional :class:`repro.api.RunConfig` pinning the whole pipeline
-        gate matrix (shards, wire tier, kernels, faults, …) for this
+        gate matrix (scoring, delivery, kernels, state plane) for this
         system.  Construction and every :meth:`run` execute under
         ``run_config.apply()``, so the configuration holds without
         touching env vars or module gates — the programmatic replacement
@@ -133,10 +133,7 @@ class WhatsUpSystem(SystemHarness):
         ]
         seed_random_views(self.nodes, self.streams.get("bootstrap"))
 
-        # the factory honours REPRO_SHARDS: 1 (the default) is a plain
-        # CycleEngine, above that the population runs process-sharded
-        # (see repro.simulation.sharding)
-        engine = make_engine(
+        engine = CycleEngine(
             self.nodes,
             dataset.schedule(),
             transport=transport,
@@ -156,26 +153,11 @@ class WhatsUpSystem(SystemHarness):
     def run(self, cycles: int | None = None, *, drain: bool = True) -> None:
         """Run the deployment (see :meth:`SystemHarness.run`).
 
-        Under a sharded engine (``REPRO_SHARDS>1``) the worker state is
-        adopted back into the parent afterwards, and ``self.nodes`` is
-        re-pointed at the collected node objects so post-run analyses
-        (profiles, views, seen sets) read the real final state.  With a
-        ``run_config``, the cycles execute under it (the per-cycle gates
-        — batch scoring, delivery batching — are read at cycle time).
+        With a ``run_config``, the cycles execute under it (the per-cycle
+        gates — batch scoring, delivery batching — are read at cycle time).
         """
         with self._configured():
             super().run(cycles, drain=drain)
-        engine = self.engine
-        if hasattr(engine, "collect"):
-            engine.collect()
-            fresh = engine.nodes
-            self.nodes = [fresh[node.node_id] for node in self.nodes]
-
-    def close(self) -> None:
-        """Release engine resources (sharded worker processes/segments)."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
 
     # ------------------------------------------------------------------ #
 

@@ -173,14 +173,7 @@ def _run_single(
         profile_window=profile_window,
         similarity=metric_name,
     )
-    # the dynamics experiment rewires node oracles *after* construction
-    # and reads per-node similarity from an every-cycle observer —
-    # inherently single-process introspection, so the engine is pinned
-    # to REPRO_SHARDS=1 regardless of the ambient sharding gate
-    from repro.simulation.sharding import sharding
-
-    with sharding(1):
-        system = WhatsUpSystem(dataset, config, seed=seed)
+    system = WhatsUpSystem(dataset, config, seed=seed)
     oracle = _SwappableOracle(dataset)
     # replace every node's oracle with the swappable one
     for node in system.nodes:

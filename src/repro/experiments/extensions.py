@@ -231,17 +231,18 @@ def exp_ext_drift(scale: ScaleProfile, seed: int) -> ExperimentReport:
 
 
 def exp_shard_outage(scale: ScaleProfile, seed: int) -> ExperimentReport:
-    """Dissemination under a correlated, shard-aligned outage.
+    """Dissemination under a correlated, residue-class outage.
 
-    The sharded runtime partitions the population ``node_id % N``; a
-    failure domain (one host, one container) therefore takes out exactly
-    one residue class.  Unlike the independent crashes of ``ext-churn``,
-    such an outage is *correlated*: a quarter of every neighbourhood
-    disappears at once, and every view in the system is hit
-    simultaneously.  This experiment quantifies what the paper's
-    robustness claim (§I) buys under that adversarial pattern — delivery
-    volume and recall with and without the outage, for two outage widths
-    and two failure points.
+    A failure domain (one host, one rack, one region of the id space)
+    takes out many nodes at once.  Here every node with ``node_id % N``
+    equal to one residue is killed at the same cycle.  Unlike the
+    independent crashes of ``ext-churn``, such an outage is
+    *correlated*: a quarter of every neighbourhood disappears at once,
+    and every view in the system is hit simultaneously.  This experiment
+    quantifies what the paper's robustness claim (§I) buys under that
+    adversarial pattern — delivery volume and recall with and without
+    the outage, for two outage widths and two failure points.  The id
+    ``shard-outage`` is kept for continuity with earlier reports.
     """
     from repro.simulation.churn import CorrelatedOutageChurn
 
@@ -289,13 +290,13 @@ def exp_shard_outage(scale: ScaleProfile, seed: int) -> ExperimentReport:
         ["Outage", "Killed", "Mess./User", "Precision", "Recall", "F1-Score"],
         rows,
         title=(
-            "Extension: correlated shard-aligned outage "
+            "Extension: correlated residue-class outage "
             f"(fLIKE=8, scale={scale.name})"
         ),
     )
     return ExperimentReport(
         "shard-outage",
-        "Correlated shard-aligned outage",
+        "Correlated residue-class outage",
         text,
         {"rows": rows, "start_cycle": start, "down_for": down},
     )

@@ -117,19 +117,6 @@ class ClusteringProtocol:
         )
         self.cache = cache if cache is not None else default_score_cache()
 
-    def __getstate__(self) -> dict:
-        """Serialize protocol state without the process-wide score cache."""
-        return {
-            name: getattr(self, name)
-            for name in ClusteringProtocol.__slots__
-            if name != "cache"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.cache = default_score_cache()
-
     def descriptor(self, profile, now: int) -> ViewEntry:
         """Build this node's own fresh descriptor."""
         return ViewEntry(

@@ -1073,83 +1073,6 @@ class ArrayView:
         pobj = self._pobj
         return [pobj[i] for i in idx]
 
-    # -- process boundaries ------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Serialize the live slots only (no addresses, no row views).
-
-        The cached base addresses (``_cols_addr``/``_pobj_addr``) and the
-        ``_ids``/``_ts``/``_wire`` row aliases are only meaningful inside
-        the owning process; a naive slot pickle would carry stale
-        addresses and turn the row views into detached copies.  The shard
-        workers (:mod:`repro.simulation.sharding`) round-trip node state
-        through this reduced form.
-        """
-        n = self._n
-        return {
-            "capacity": self.capacity,
-            "owner_id": self.owner_id,
-            "cols": self._cols[:, :n].copy(),
-            "entries": self._pobj[:n].tolist(),
-            "mutations": self._mutations,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self.owner_id = state["owner_id"]
-        cols = state["cols"]
-        n = cols.shape[1]
-        self._n = 0
-        # the mutation counter survives the round trip: consumers (BEEP's
-        # packed-pool memo) tag caches with it, and a reset could collide
-        # with a stale tag taken before the transfer
-        self._mutations = int(state["mutations"])
-        self._index = {}
-        self._index_tag = -1
-        self._allocate(max(self.capacity + 8, 16, n))
-        self._cols[:, :n] = cols
-        pobj = self._pobj
-        for i, entry in enumerate(state["entries"]):
-            pobj[i] = entry
-        self._n = n
-
-    def rehome(self, cols: np.ndarray) -> None:
-        """Move the numeric state block into caller-provided storage.
-
-        *cols* must be a writable C-contiguous ``(3, alloc)`` ``int64``
-        array — typically a view over a :mod:`multiprocessing.shared_memory`
-        arena block (see ``repro.simulation.sharding``).  Live rows are
-        copied over, the row views and cached base addresses are rebound,
-        and every subsequent mutation — including the native state
-        kernels, which receive the new base address — operates on the
-        mapped memory.  The payload-reference column stays in private
-        memory (object references cannot cross a process boundary).
-
-        If the view later outgrows the mapped block, :meth:`_allocate`
-        falls back to a fresh private allocation; the arena block is
-        simply abandoned (the shard arena is a bump allocator).
-        """
-        alloc = int(cols.shape[1])
-        n = self._n
-        if cols.shape[0] != 3 or alloc < n:
-            raise ConfigurationError(
-                f"rehome block shape {cols.shape} cannot hold {n} rows"
-            )
-        cols[:, :n] = self._cols[:, :n]
-        pobj = self._pobj
-        if pobj.shape[0] != alloc:
-            grown = np.empty(alloc, dtype=object)
-            grown[:n] = pobj[:n]
-            pobj = grown
-        self._cols = cols
-        self._pobj = pobj
-        self._ids = cols[0]
-        self._ts = cols[1]
-        self._wire = cols[2]
-        self._alloc = alloc
-        self._cols_addr = cols.ctypes.data
-        self._pobj_addr = pobj.ctypes.data
-
     def wire_size(self) -> int:
         """Modelled serialized size of the whole view: one column sum."""
         n = self._n

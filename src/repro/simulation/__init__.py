@@ -20,11 +20,7 @@ subpackage provides the engine those experiments run on:
   ``REPRO_BATCH_DELIVERY`` gate and the per-cycle batch helpers the engine
   and nodes share (bitwise-identical to the scalar path at fixed seeds);
 * :mod:`repro.simulation.churn` — node kill/rejoin injection for the
-  robustness extension experiments;
-* :mod:`repro.simulation.sharding` — the process-sharded scale-out engine:
-  ``REPRO_SHARDS=N`` partitions the population across worker processes
-  with per-shard deterministic RNG streams, shared-memory state arenas
-  and columnar shard-boundary mailboxes flushed at cycle barriers.
+  robustness extension experiments.
 """
 
 from repro.simulation.churn import ChurnModel
@@ -36,15 +32,6 @@ from repro.simulation.engine import CycleEngine
 from repro.simulation.events import DisseminationLog
 from repro.simulation.node import BaseNode
 from repro.simulation.schedule import PublicationSchedule
-# NOTE: the `sharding(n)` context manager is deliberately not re-exported
-# here — binding it as `repro.simulation.sharding` would shadow the
-# submodule of the same name; import it from repro.simulation.sharding
-from repro.simulation.sharding import (
-    ShardedCycleEngine,
-    make_engine,
-    set_shard_count,
-    shard_count,
-)
 
 __all__ = [
     "BaseNode",
@@ -52,10 +39,6 @@ __all__ = [
     "CycleEngine",
     "DisseminationLog",
     "PublicationSchedule",
-    "ShardedCycleEngine",
     "delivery_batching_enabled",
-    "make_engine",
     "set_delivery_batching",
-    "set_shard_count",
-    "shard_count",
 ]

@@ -100,22 +100,20 @@ class ChurnModel:
 
 
 class CorrelatedOutageChurn:
-    """A deterministic, shard-aligned mass outage.
+    """A deterministic, residue-class mass outage.
 
     At ``start_cycle`` every node with ``node_id % n_classes ==
-    target_class`` goes offline at once — exactly the population one
-    shard of an ``N = n_classes`` run owns (:func:`shard_of` is ``id %
-    N``) — and the whole class returns ``down_for`` cycles later.  This
-    is ROADMAP item 4's "regional churn": unlike :class:`ChurnModel`'s
-    independent per-node coin flips, the failures here are perfectly
-    correlated, the worst case for a gossip overlay (an entire region of
-    the id space vanishes, taking its view entries and in-flight items
-    with it).
+    target_class`` goes offline at once, and the whole class returns
+    ``down_for`` cycles later.  This models regional churn: unlike
+    :class:`ChurnModel`'s independent per-node coin flips, the failures
+    here are perfectly correlated, the worst case for a gossip overlay
+    (an entire region of the id space vanishes, taking its view entries
+    and in-flight items with it).
 
     No RNG is consumed, so adding the model to a run perturbs no other
     stream — with and without the outage are comparable draw-for-draw.
-    The counters mirror :class:`ChurnModel` so shard-merge accounting
-    and experiment reports treat both models uniformly.
+    The counters mirror :class:`ChurnModel` so experiment reports treat
+    both models uniformly.
     """
 
     def __init__(

@@ -36,12 +36,7 @@ This gate composes freely with the array-state gate
 (:mod:`repro.core.arraystate`): the delivery pipeline only touches node
 state through the view/profile facades, so any pipeline × state-plane
 combination produces the same bits (asserted by the churn equivalence
-grid in ``tests/test_delivery_batch.py``).  It also composes with the
-process-sharded engine (:mod:`repro.simulation.sharding`): each shard
-worker consults the gate for its own sub-cycle — batched and scalar
-delivery produce identical bits at any fixed shard count, because local
-sends reach the future inboxes in the same relative order on either
-path and cross-shard sends are ordered by the mailbox protocol alone.
+grid in ``tests/test_delivery_batch.py``).
 """
 
 from __future__ import annotations

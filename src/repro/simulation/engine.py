@@ -36,14 +36,6 @@ behind the facade of :mod:`repro.gossip.views` / :mod:`repro.core.profiles`,
 which serves either the array-backed columnar layout (default) or the
 legacy dict structures (``REPRO_ARRAY_STATE=0``, see
 :mod:`repro.core.arraystate`) with identical observable behaviour.
-
-Under ``REPRO_SHARDS=N`` (``N`` > 1) the population runs **process-
-sharded**: each worker drives its shard with a subclass of this engine
-whose routing methods divert cross-shard traffic into barrier-flushed
-mailboxes, and the parent holds a facade with this class's surface (see
-:mod:`repro.simulation.sharding` — construction goes through its
-``make_engine`` factory).  At the default of 1 that factory returns this
-class unchanged.
 """
 
 from __future__ import annotations

@@ -17,57 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DisseminationLog", "FaultLog"]
-
-
-class FaultLog:
-    """Struct-of-arrays record of fault-plane activity in one run.
-
-    One row per noteworthy event — an injected fault, a detected worker
-    death, a recovery, a degraded window — so post-mortems (and the
-    RUNBOOK's diagnosis steps) can reconstruct what the supervisor did
-    and when.  Columns:
-
-    - ``cycle`` — the parent engine clock when the event was recorded,
-    - ``shard`` — the shard concerned (-1 for run-wide events),
-    - ``kind`` — a short tag (``"crash"``, ``"worker_death"``,
-      ``"recovery"``, ``"degraded"``, ``"checkpoint"``, ...),
-    - ``detail`` — free-form context string.
-    """
-
-    def __init__(self) -> None:
-        self.cycle: list[int] = []
-        self.shard: list[int] = []
-        self.kind: list[str] = []
-        self.detail: list[str] = []
-
-    def record(self, cycle: int, shard: int, kind: str, detail: str = "") -> None:
-        """Append one event row."""
-        self.cycle.append(int(cycle))
-        self.shard.append(int(shard))
-        self.kind.append(kind)
-        self.detail.append(detail)
-
-    def merge(self, other: "FaultLog") -> None:
-        """Append every event of *other*, in *other*'s order."""
-        self.cycle.extend(other.cycle)
-        self.shard.extend(other.shard)
-        self.kind.extend(other.kind)
-        self.detail.extend(other.detail)
-
-    def events(self) -> list[tuple[int, int, str, str]]:
-        """All rows as ``(cycle, shard, kind, detail)`` tuples."""
-        return list(zip(self.cycle, self.shard, self.kind, self.detail, strict=True))
-
-    def count(self, kind: str) -> int:
-        """Number of rows with the given kind tag."""
-        return self.kind.count(kind)
-
-    def __len__(self) -> int:
-        return len(self.cycle)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultLog(events={len(self.cycle)})"
+__all__ = ["DisseminationLog"]
 
 
 class DisseminationLog:
@@ -208,31 +158,6 @@ class DisseminationLog:
     def log_duplicates(self, n: int) -> None:
         """Count *n* duplicate receipts at once (batched delivery path)."""
         self.duplicates += n
-
-    def merge(self, other: "DisseminationLog") -> None:
-        """Append every event of *other* to this log, in *other*'s order.
-
-        The shard facade folds per-worker logs together with this
-        (:mod:`repro.simulation.sharding`), in shard order — row order
-        across shards therefore differs from a single-process run's
-        interleaving, but every metric is an aggregate over rows and all
-        rows are present exactly once.
-        """
-        self.d_item.extend(other.d_item)
-        self.d_node.extend(other.d_node)
-        self.d_cycle.extend(other.d_cycle)
-        self.d_hops.extend(other.d_hops)
-        self.d_dislikes.extend(other.d_dislikes)
-        self.d_liked.extend(other.d_liked)
-        self.d_via_like.extend(other.d_via_like)
-        self.f_item.extend(other.f_item)
-        self.f_node.extend(other.f_node)
-        self.f_cycle.extend(other.f_cycle)
-        self.f_hops.extend(other.f_hops)
-        self.f_liked.extend(other.f_liked)
-        self.f_targets.extend(other.f_targets)
-        self.duplicates += other.duplicates
-        self._arrays = None
 
     # -- array access ---------------------------------------------------------
 

@@ -69,19 +69,6 @@ class SystemHarness:
         """Boolean ``(n_users, n_items)`` delivery matrix."""
         return self.log.reached_matrix(self.dataset.n_users, self.dataset.n_items)
 
-    def fault_stats(self) -> "dict | None":
-        """The run's fault-plane counters, or ``None`` (single-process).
-
-        Sharded engines report recoveries, retries, degraded cycles and
-        checkpoint volume (:class:`~repro.network.stats.RecoveryStats`);
-        a plain :class:`CycleEngine` has no fault plane and returns
-        ``None``.
-        """
-        getter = getattr(self.engine, "fault_stats", None)
-        if getter is None:
-            return None
-        return getter().as_dict()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(dataset={self.dataset.name!r}, "

@@ -10,7 +10,6 @@ the transport's loss model and account traffic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import suppress
 from typing import TYPE_CHECKING
 
 from repro.core.news import ItemCopy, NewsItem
@@ -41,29 +40,6 @@ class BaseNode(ABC):
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._alive = True
-        self._alive_listener = None
-
-    def __getstate__(self) -> dict:
-        """Serialize every slot across the class hierarchy but the engine hook.
-
-        ``_alive_listener`` is a bound method of the owning engine; keeping
-        it would drag the entire engine (and with it every other node)
-        into any pickle of a single node.  The receiving engine re-arms
-        the hook when the node is registered (shard workers, mid-run
-        joins).
-        """
-        state = {}
-        for klass in type(self).__mro__:
-            for name in getattr(klass, "__slots__", ()):
-                if name == "_alive_listener" or name in state:
-                    continue
-                with suppress(AttributeError):  # unset slot
-                    state[name] = getattr(self, name)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
         self._alive_listener = None
 
     @property

@@ -2,12 +2,11 @@
 """Declared-exempt usages: none of these may produce findings.
 
 The lint-pack test injects a Contracts instance that names this file as
-the gate registry, a wall-clock module, and a mailbox module all at once,
-so every call below sits inside its sanctioned scope.
+both the gate registry and a wall-clock module, so every call below sits
+inside its sanctioned scope.
 """
 
 import os
-import pickle
 import time
 
 
@@ -17,7 +16,3 @@ def registry_read() -> str:
 
 def wall_clock() -> float:
     return time.monotonic()
-
-
-def mailbox_decode(blob: bytes):
-    return pickle.loads(blob)

@@ -1,5 +1,5 @@
 # repro-lint-fixture: treat-as-src
-"""Seeded RL008 violations: pickle deserialization off the mailbox path."""
+"""Seeded RL008 violations: pickle deserialization in src/repro."""
 
 import io
 import pickle
@@ -18,5 +18,5 @@ def bad_unpickler(blob: bytes):
 
 
 def good_dumps(obj) -> bytes:
-    # serialization is fine anywhere; only deserialization is confined
+    # serialization is fine; only deserialization is banned
     return pickle.dumps(obj)

@@ -4,13 +4,12 @@ The contract under test:
 
 * ``RunConfig()`` equals the out-of-the-box pipeline, and
   ``RunConfig.from_env()`` on a clean environment equals ``RunConfig()``
-  (env parity: same spellings, floors, and invalid-value fallbacks the
-  owning modules use);
+  (env parity: the same flag spellings the owning modules use);
 * ``as_env()`` is the exact inverse of ``from_env()``;
-* ``apply()`` activates every gate/knob for the block and restores all
-  prior state on exit — including when the block raises;
-* the plumbing: ``WhatsUpSystem(run_config=)``, ``make_engine(run_config=)``
-  and ``run_experiment(run_config=)`` all construct under the config.
+* ``apply()`` activates every gate for the block and restores all prior
+  state on exit — including when the block raises;
+* the plumbing: ``WhatsUpSystem(run_config=)`` and
+  ``run_experiment(run_config=)`` both construct under the config.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ import dataclasses
 
 import pytest
 
-import repro.simulation.sharding as sharding_mod
+from repro._native import native_kernel_enabled
 from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.similarity import batch_scoring_enabled
+from repro.core.arraystate import array_state_enabled
+from repro.core.similarity import batch_scoring, batch_scoring_enabled
 from repro.datasets import survey_dataset
 from repro.simulation.delivery import delivery_batching_enabled
-from repro.simulation.faults import fault_schedule
-from repro.simulation.sharding import shard_count, wire_tier
 
 
 @pytest.fixture
@@ -42,23 +40,24 @@ def clean_env(monkeypatch):
 
 VARIANT = dict(
     batch_sim=False,
+    batch_delivery=False,
     native=False,
-    shards=4,
-    shard_shm=False,
-    wire_tier="pickle",
-    pin_cpus=True,
-    mailbox_bytes=1 << 17,
-    intern_cap=512,
-    faults="crash@5:1:q",
-    recovery="degraded",
-    checkpoint_every=3,
-    degraded_window=6,
-    max_recoveries=2,
-    ctrl_timeout=30.0,
-    exchange_timeout=45.5,
-    retries=9,
-    backoff=0.25,
+    array_state=False,
 )
+
+
+def _gates() -> tuple[bool, bool, bool, bool]:
+    return (
+        batch_scoring_enabled(),
+        delivery_batching_enabled(),
+        native_kernel_enabled(),
+        array_state_enabled(),
+    )
+
+
+def test_has_exactly_the_four_pipeline_gates():
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert names == ["batch_sim", "batch_delivery", "native", "array_state"]
 
 
 class TestEnvParity:
@@ -68,120 +67,62 @@ class TestEnvParity:
     def test_as_env_roundtrips_defaults(self):
         cfg = RunConfig()
         assert RunConfig.from_env(cfg.as_env()) == cfg
-        assert "REPRO_FAULTS" not in cfg.as_env()
 
     def test_as_env_roundtrips_every_field(self):
         cfg = RunConfig(**VARIANT)
         env = cfg.as_env()
-        assert env["REPRO_FAULTS"] == "crash@5:1:q"
+        assert env["REPRO_ARRAY_STATE"] == "0"
         assert RunConfig.from_env(env) == cfg
 
     def test_from_env_parses_module_spellings(self):
         env = {
             "REPRO_BATCH_SIM": "OFF",
             "REPRO_NATIVE": "No",
-            "REPRO_SHARDS": "3",
-            "REPRO_SHARD_WIRE": " Columns ",
-            "REPRO_FAULTS": "  ",
+            "REPRO_BATCH_DELIVERY": "false",
+            "REPRO_ARRAY_STATE": "maybe",  # not a disabled word -> on
         }
         cfg = RunConfig.from_env(env)
         assert cfg.batch_sim is False
         assert cfg.native is False
-        assert cfg.shards == 3
-        assert cfg.wire_tier == "columns"
-        assert cfg.faults is None  # blank spec means no schedule
-
-    def test_from_env_applies_module_floors_and_fallbacks(self):
-        cfg = RunConfig.from_env(
-            {
-                "REPRO_SHARDS": "zero",  # unparseable -> default
-                "REPRO_SHARD_WIRE": "msgpack",  # unknown -> default
-                "REPRO_SHARD_RECOVERY": "prayer",  # unknown -> default
-                "REPRO_SHARD_INTERN_CAP": "5",  # floored
-                "REPRO_SHARD_BACKOFF": "0.000001",  # floored
-                "REPRO_SHARD_RETRIES": "0",  # floored
-            }
-        )
-        assert cfg.shards == 1
-        assert cfg.wire_tier == "delta"
-        assert cfg.recovery == "auto"
-        assert cfg.intern_cap == 256
-        assert cfg.backoff == 0.005
-        assert cfg.retries == 1
-
-    def test_validation_rejects_bad_fields(self):
-        with pytest.raises(ValueError, match="wire tier"):
-            RunConfig(wire_tier="msgpack")
-        with pytest.raises(ValueError, match="recovery"):
-            RunConfig(recovery="prayer")
-        with pytest.raises(ValueError, match="shards"):
-            RunConfig(shards=0)
+        assert cfg.batch_delivery is False
+        assert cfg.array_state is True
 
     def test_frozen_and_replace(self):
         cfg = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.shards = 4
-        derived = cfg.replace(shards=4, wire_tier="columns")
-        assert (derived.shards, derived.wire_tier) == (4, "columns")
-        assert cfg.shards == 1  # original untouched
-        with pytest.raises(ValueError):
-            cfg.replace(wire_tier="msgpack")
+            cfg.batch_sim = False
+        derived = cfg.replace(batch_sim=False, native=False)
+        assert (derived.batch_sim, derived.native) == (False, False)
+        assert cfg.batch_sim is True  # original untouched
 
 
 class TestApply:
     # the restore assertions compare against *captured* prior state, not
     # hard-coded defaults — the tier-1 CI legs run this suite under env
-    # gates (REPRO_SHARDS=4, REPRO_BATCH_SIM=0, …) and apply() must put
-    # back whatever was set, defaults or not
+    # gates (REPRO_BATCH_SIM=0, REPRO_ARRAY_STATE=0, …) and apply() must
+    # put back whatever was set, defaults or not
 
     def test_apply_sets_and_restores_everything(self):
-        cfg = RunConfig(**VARIANT)
-        before = (
-            batch_scoring_enabled(),
-            delivery_batching_enabled(),
-            shard_count(),
-            wire_tier(),
-            fault_schedule(),
-            sharding_mod.shard_knobs(),
-        )
-        with cfg.apply():
-            assert batch_scoring_enabled() is False
-            assert delivery_batching_enabled() is True  # cfg default
-            assert shard_count() == 4
-            assert wire_tier() == "pickle"
-            schedule = fault_schedule()
-            assert schedule is not None
-            assert [e.kind for e in schedule.events] == ["crash"]
-            knobs = sharding_mod.shard_knobs()
-            assert knobs["mailbox_bytes"] == 1 << 17
-            assert knobs["intern_cap"] == 512
-            assert knobs["pin_cpus"] is True
-            assert knobs["recovery"] == "degraded"
-            assert knobs["retries"] == 9
-        assert before == (
-            batch_scoring_enabled(),
-            delivery_batching_enabled(),
-            shard_count(),
-            wire_tier(),
-            fault_schedule(),
-            sharding_mod.shard_knobs(),
-        )
+        before = _gates()
+        with RunConfig(**VARIANT).apply():
+            assert _gates() == (False, False, False, False)
+        assert _gates() == before
 
     def test_apply_restores_on_exception(self):
-        before = (shard_count(), wire_tier())
-        cfg = RunConfig(shards=2, wire_tier="columns")
+        before = _gates()
+        cfg = RunConfig(batch_sim=False)
         with pytest.raises(RuntimeError, match="boom"), cfg.apply():
-            assert shard_count() == 2
+            assert batch_scoring_enabled() is False
             raise RuntimeError("boom")
-        assert (shard_count(), wire_tier()) == before
+        assert _gates() == before
 
     def test_apply_nests(self):
-        before = wire_tier()
-        with RunConfig(wire_tier="columns").apply():
-            with RunConfig(wire_tier="pickle").apply():
-                assert wire_tier() == "pickle"
-            assert wire_tier() == "columns"
-        assert wire_tier() == before
+        before = batch_scoring_enabled()
+        with RunConfig(batch_sim=True).apply():
+            with RunConfig(batch_sim=False).apply():
+                assert batch_scoring_enabled() is False
+            assert batch_scoring_enabled() is True
+        assert batch_scoring_enabled() == before
 
 
 class TestPlumbing:
@@ -190,22 +131,19 @@ class TestPlumbing:
         return survey_dataset(n_base_users=24, n_base_items=20, seed=3)
 
     def test_whatsup_system_constructs_under_config(self, dataset):
-        before = shard_count()
-        cfg = RunConfig(shards=2)
+        before = _gates()
         system = WhatsUpSystem(
-            dataset, WhatsUpConfig(f_like=5), seed=7, run_config=cfg
+            dataset, WhatsUpConfig(f_like=5), seed=7,
+            run_config=RunConfig(**VARIANT),
         )
-        try:
-            assert type(system.engine).__name__ == "ShardedCycleEngine"
-            assert shard_count() == before  # config never leaked
-            system.run(cycles=4, drain=False)
-            assert system.engine.now == 4
-            assert any(node.profile.scores for node in system.nodes)
-        finally:
-            system.close()
+        assert _gates() == before  # config never leaked
+        system.run(cycles=4, drain=False)
+        assert system.engine.now == 4
+        assert any(node.profile.scores for node in system.nodes)
+        assert _gates() == before
 
     def test_system_matches_env_gated_run(self, dataset):
-        """run_config=RunConfig(shards=2) ≙ the sharding() context."""
+        """run_config=RunConfig(batch_sim=False) ≙ the batch_scoring() context."""
 
         def state(system):
             return [
@@ -214,37 +152,16 @@ class TestPlumbing:
                 for node in system.nodes
             ]
 
-        with sharding_mod.sharding(2):
+        with batch_scoring(False):
             ref = WhatsUpSystem(dataset, WhatsUpConfig(f_like=5), seed=7)
-            try:
-                ref.run(cycles=6, drain=False)
-                want = state(ref)
-            finally:
-                ref.close()
+            ref.run(cycles=6, drain=False)
+            want = state(ref)
         system = WhatsUpSystem(
             dataset, WhatsUpConfig(f_like=5), seed=7,
-            run_config=RunConfig(shards=2),
+            run_config=RunConfig(batch_sim=False),
         )
-        try:
-            system.run(cycles=6, drain=False)
-            assert state(system) == want
-        finally:
-            system.close()
-
-    def test_make_engine_accepts_run_config(self, dataset):
-        from repro.simulation.sharding import make_engine
-
-        system = WhatsUpSystem(dataset, WhatsUpConfig(f_like=5), seed=7)
-        engine = make_engine(
-            system.nodes,
-            dataset.schedule(),
-            streams=system.streams,
-            run_config=RunConfig(shards=2, wire_tier="columns"),
-        )
-        try:
-            assert type(engine).__name__ == "ShardedCycleEngine"
-        finally:
-            engine.close()
+        system.run(cycles=6, drain=False)
+        assert state(system) == want
 
     def test_run_experiment_accepts_run_config(self):
         from repro.experiments import ScaleProfile, run_experiment
@@ -263,8 +180,8 @@ class TestPlumbing:
             fanouts_synthetic=(2, 4),
             fanouts_digg=(2, 4),
         )
-        before = wire_tier()
-        cfg = RunConfig(wire_tier="columns")
+        before = _gates()
+        cfg = RunConfig(batch_delivery=False)
         rep = run_experiment("table1", tiny, seed=2, run_config=cfg)
         assert "Synthetic" in rep.text
-        assert wire_tier() == before  # restored
+        assert _gates() == before  # restored

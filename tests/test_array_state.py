@@ -55,8 +55,7 @@ def _restore_array_state():
 
 
 def _thirds_opinion(_nid, item) -> bool:
-    """Deterministic joiner oracle; module-level so the joined node
-    pickles into shard workers under a forced ``REPRO_SHARDS``."""
+    """Deterministic joiner oracle."""
     return item.item_id % 3 != 0
 
 

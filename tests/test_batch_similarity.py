@@ -404,17 +404,12 @@ class TestEndToEndEquivalence:
 
 class TestEngineCounters:
     def _system(self):
-        # unit tests of the single-process engine's internal counters
-        # (_future_inboxes, the alive-id cache): pin REPRO_SHARDS=1 so a
-        # forced sharded environment (the CI sharded leg) does not swap
-        # the facade in under them
-        from repro.simulation.sharding import sharding
-
+        # unit tests of the engine's internal counters (_future_inboxes,
+        # the alive-id cache)
         dataset = survey_dataset(
             n_base_users=40, n_base_items=50, publish_cycles=10, seed=3
         )
-        with sharding(1):
-            return WhatsUpSystem(dataset, WhatsUpConfig(f_like=5), seed=3)
+        return WhatsUpSystem(dataset, WhatsUpConfig(f_like=5), seed=3)
 
     def test_pending_counter_matches_inbox_contents(self):
         system = self._system()

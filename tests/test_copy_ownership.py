@@ -8,8 +8,7 @@ first receipt only, just before Algorithm 1 changes it, so:
   out of both receipts unchanged (scores, timestamps, hops, dislikes);
 * each node ships exactly what Algorithm 1 would have produced on a private
   copy of its own;
-* duplicates are never cloned;
-* a cross-shard fan-out crosses the wire as one copy.
+* duplicates are never cloned.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from repro.core.profiles import FrozenProfile, ItemProfile, UserProfile
 from repro.gossip.views import ViewEntry
 from repro.simulation.engine import CycleEngine
 from repro.simulation.schedule import PublicationSchedule
-from repro.simulation.sharding import _ShardEngine
-from repro.simulation.wire import LinkDecoder, LinkEncoder
 from repro.utils.rng import RngStreams
 
 NOW = 21
@@ -181,50 +178,3 @@ def test_duplicates_are_never_cloned(monkeypatch):
     assert calls == [shared]
     assert engine.log.duplicates == 3
 
-
-def test_cross_shard_fanout_crosses_as_one_copy():
-    """Remote rows of one fan-out share one clone; the frame carries it once."""
-    item = NewsItem.publish(source=0, created_at=0, title="remote")
-    nodes = [_node(nid, True) for nid in (0, 2)]  # shard 0 of 2: even ids
-    engine = _ShardEngine(
-        nodes,
-        PublicationSchedule([(0, item)]),
-        None,
-        RngStreams(3),
-        None,
-        0,
-        2,
-    )
-    engine._buffering = True
-    profile = ItemProfile()
-    for iid in range(40):
-        profile.set(iid, 0, 0.5)
-    copy = ItemCopy(item=item, profile=profile, dislikes=0, hops=2)
-    engine.send_fanout(0, [1, 2, 3, 5], copy, via_like=False, bump_dislikes=True)
-
-    remote = engine._item_out[1]
-    assert [row[0] for row in remote] == [1, 3, 5]
-    clones = {id(row[2]) for row in remote}
-    assert len(clones) == 1
-    clone = remote[0][2]
-    assert clone is not copy
-    assert (clone.hops, clone.dislikes) == (3, 1)
-    # the local target got the sender's copy itself, advanced once
-    assert engine._send_buf == [(2, (0, copy, False))]
-    assert (copy.hops, copy.dislikes) == (3, 1)
-
-    blob = LinkEncoder("delta").encode(remote, "items")
-    decoded = LinkDecoder("delta").decode(blob)
-    assert [row[0] for row in decoded] == [1, 3, 5]
-    assert len({id(row[2]) for row in decoded}) == 1
-    assert list(decoded[0][2].profile.scores.items()) == list(
-        clone.profile.scores.items()
-    )
-    # three independent copies of the same content cost more on the wire
-    distinct = []
-    for target, sender, c, via in remote:
-        own = ItemProfile()
-        for iid, score in c.profile.scores.items():
-            own.set(iid, 0, score)
-        distinct.append((target, sender, ItemCopy(c.item, own, 1, 3), via))
-    assert len(blob) < len(LinkEncoder("delta").encode(distinct, "items"))

@@ -255,51 +255,9 @@ class TestCli:
     def test_run_with_scale_flag(self, capsys):
         assert main(["run", "table2", "--scale", "paper"]) == 0
 
-    def test_faults_flag_scoped_to_the_run(self, capsys, monkeypatch):
-        """``--faults`` is active during the experiments, restored after.
-
-        The CLI resolves flags through ``RunConfig.apply()``, so the
-        schedule (like every other gate) is scoped to the run instead of
-        leaking into the process.
-        """
-        import repro.cli as cli_mod
-        from repro.simulation.faults import fault_schedule
-
-        args = build_parser().parse_args(
-            ["run", "table2", "--faults", "crash@5:1:q"]
-        )
-        assert args.faults == "crash@5:1:q"
-        seen = {}
-        orig = cli_mod.run_experiment
-
-        def spy(exp_id, scale, seed, run_config=None):
-            seen["schedule"] = fault_schedule()
-            return orig(exp_id, scale, seed, run_config)
-
-        monkeypatch.setattr(cli_mod, "run_experiment", spy)
-        assert main(["run", "table2", "--faults", "stall@2:0:r:0.01"]) == 0
-        active = seen["schedule"]
-        assert active is not None
-        assert [e.kind for e in active.events] == ["stall"]
-        assert fault_schedule() is None
-
-    def test_wire_tier_flag_scoped_to_the_run(self, capsys, monkeypatch):
-        import repro.cli as cli_mod
-        from repro.simulation.sharding import shard_count, wire_tier
-
-        seen = {}
-        orig = cli_mod.run_experiment
-
-        def spy(exp_id, scale, seed, run_config=None):
-            seen["tier"] = wire_tier()
-            seen["shards"] = shard_count()
-            return orig(exp_id, scale, seed, run_config)
-
-        before = (wire_tier(), shard_count())
-        monkeypatch.setattr(cli_mod, "run_experiment", spy)
-        assert (
-            main(["run", "table2", "--shards", "3", "--wire-tier", "pickle"])
-            == 0
-        )
-        assert seen == {"tier": "pickle", "shards": 3}
-        assert (wire_tier(), shard_count()) == before
+    @pytest.mark.parametrize(
+        "flag", ["--shards=2", "--faults=crash@5:1:q", "--wire-tier=pickle"]
+    )
+    def test_multiprocess_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "table2", flag])

@@ -154,11 +154,6 @@ class TestColdStartCorners:
 
 class TestEngineDelayBookkeeping:
     def test_future_inboxes_cleared_after_delivery(self, tiny):
-        # inspects a single-process engine internal: pin REPRO_SHARDS=1
-        # so the CI sharded leg does not swap the facade in
-        from repro.simulation.sharding import sharding
-
-        with sharding(1):
-            system = WhatsUpSystem(tiny, WhatsUpConfig(f_like=3), seed=1)
+        system = WhatsUpSystem(tiny, WhatsUpConfig(f_like=3), seed=1)
         system.run()
         assert not system.engine._future_inboxes  # all consumed

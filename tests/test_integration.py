@@ -73,14 +73,7 @@ class TestHeadlineClaims:
 
     def test_communities_disseminate_internally(self, communities):
         """The synthetic workload: items stay mostly inside their community."""
-        # the 2.5× precision margin is calibrated against the canonical
-        # single-process cycle interleaving (a sharded run is valid but
-        # converges on a slightly different trajectory — it measured
-        # ~0.41 vs the 0.417 threshold at 4 shards): pin REPRO_SHARDS=1
-        from repro.simulation.sharding import sharding
-
-        with sharding(1):
-            system = build_system("whatsup", communities, fanout=6, seed=3)
+        system = build_system("whatsup", communities, fanout=6, seed=3)
         system.run()
         scores = evaluate_dissemination(system.reached_matrix(), communities.likes)
         assert scores.precision > 2.5 * communities.like_rate()

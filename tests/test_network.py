@@ -163,14 +163,6 @@ class TestTrafficStats:
         assert s.bandwidth_kbps(0, 0, 0) == 0.0
         assert s.loss_rate() == 0.0
 
-    def test_merge(self):
-        a, b = TrafficStats(), TrafficStats()
-        a.record(env(size=5), True)
-        b.record(env(size=7), False)
-        a.merge(b)
-        assert a.sent[MessageKind.ITEM] == 2
-        assert a.dropped[MessageKind.ITEM] == 1
-
 
 class TestWireSizes:
     def test_item_copy_wire_size(self):

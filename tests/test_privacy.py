@@ -153,21 +153,14 @@ class TestOnionRouting:
             OnionRoutedTransport(extra_hops=-1)
 
     def test_quality_unchanged_on_lossless_network(self):
-        # compares two transports at one seed expecting identical bits:
-        # only meaningful when both runs use the same engine, so pin
-        # REPRO_SHARDS=1 (the onion transport is not unit-delay lossless
-        # and would fall back single-process while the plain run shards)
-        from repro.simulation.sharding import sharding
-
         ds = survey_dataset(n_base_users=50, n_base_items=60, seed=4, publish_cycles=25)
-        with sharding(1):
-            plain = WhatsUpSystem(ds, WhatsUpConfig(f_like=5), seed=2)
-            onion = WhatsUpSystem(
-                ds,
-                WhatsUpConfig(f_like=5),
-                seed=2,
-                transport=OnionRoutedTransport(extra_hops=2),
-            )
+        plain = WhatsUpSystem(ds, WhatsUpConfig(f_like=5), seed=2)
+        onion = WhatsUpSystem(
+            ds,
+            WhatsUpConfig(f_like=5),
+            seed=2,
+            transport=OnionRoutedTransport(extra_hops=2),
+        )
         plain.run()
         onion.run()
         a = evaluate_dissemination(plain.reached_matrix(), ds.likes)

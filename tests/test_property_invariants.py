@@ -221,100 +221,3 @@ def test_one_pass_purge_equals_remove_loop(entries, cutoff, shared, warm, array_
     with array_state(array_plane):
         assert_purge_matches_remove_loop(entries, cutoff, shared=shared, warm=warm)
 
-
-# --------------------------------------------------------------------------- #
-# shard-partition invariance (ROADMAP item 5a)                                #
-# --------------------------------------------------------------------------- #
-#
-# The sharded engine's determinism contract, as properties over generated
-# (seed, cycle-count) rather than the suites' one fixed seed:
-#
-# * **the wire is pure transport** — the cross-shard mailbox encoding
-#   (``pickle`` / ``columns`` / ``delta``) and the staging medium (shm
-#   arenas vs inline pipes) never change a single bit of the outcome;
-# * **run-to-run determinism** — the same (seed, shards) always lands on
-#   the same state.
-#
-# Deliberate deviation: outcomes are *not* invariant to the shard count
-# itself — per-shard RNG streams are salted by shard id, by design (see
-# repro.simulation.sharding), so N=2 and N=4 are different (each
-# internally reproducible) timelines.  The cross-count property that does
-# hold, shards=1 ≡ the direct single-process engine, is pinned by
-# tests/test_sharding.py.
-#
-# Sharded runs spawn worker processes, so these properties run few, heavy
-# examples: the per-test ``@settings`` below deliberately overrides the
-# module profile's example count.
-
-_WIRE_EXAMPLES = 8 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 3
-
-_shard_dataset = None
-_shard_baselines: dict = {}
-
-
-def _wire_dataset():
-    global _shard_dataset
-    if _shard_dataset is None:
-        from repro.datasets import survey_dataset
-
-        _shard_dataset = survey_dataset(
-            n_base_users=36, n_base_items=30, seed=4
-        )
-    return _shard_dataset
-
-
-def _sharded_state(seed: int, cycles: int, tier: str, shm: bool):
-    from repro.core import WhatsUpConfig, WhatsUpSystem
-    from repro.simulation.sharding import shard_shm, shard_wire, sharding
-
-    with sharding(2), shard_shm(shm), shard_wire(tier):
-        system = WhatsUpSystem(
-            _wire_dataset(), WhatsUpConfig(f_like=6), seed=seed
-        )
-        try:
-            system.run(cycles=cycles, drain=False)
-            state = {
-                node.node_id: (
-                    node.alive,
-                    tuple(sorted(node.wup.view.node_ids())),
-                    tuple(sorted(node.rps.view.node_ids())),
-                    tuple(sorted(node.profile.scores.items())),
-                    tuple(sorted(node.seen)),
-                )
-                for node in system.nodes
-            }
-            arrays = system.engine.log.arrays()
-            state["_log"] = tuple(
-                (key, tuple(arrays[key].tolist())) for key in sorted(arrays)
-            )
-            return state
-        finally:
-            system.close()
-
-
-def _delta_baseline(seed: int, cycles: int):
-    key = (seed, cycles)
-    if key not in _shard_baselines:
-        _shard_baselines[key] = _sharded_state(seed, cycles, "delta", True)
-    return _shard_baselines[key]
-
-
-@settings(max_examples=_WIRE_EXAMPLES, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16 - 1),
-    cycles=st.integers(min_value=3, max_value=6),
-    tier=st.sampled_from(["pickle", "columns"]),
-    shm=st.booleans(),
-)
-def test_wire_tier_is_pure_transport(seed, cycles, tier, shm):
-    """Any (tier, medium) matches the delta/shm run at the same seed."""
-    assert _sharded_state(seed, cycles, tier, shm) == _delta_baseline(
-        seed, cycles
-    )
-
-
-@settings(max_examples=_WIRE_EXAMPLES, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16 - 1))
-def test_sharded_delta_run_is_deterministic(seed):
-    """Same (seed, shards) → bit-identical state, every time."""
-    assert _sharded_state(seed, 4, "delta", True) == _delta_baseline(seed, 4)

@@ -1,12 +1,8 @@
-"""Lossy-transport × churn × sharding grid.
+"""Lossy-transport × churn grid.
 
-The sharded runtime only engages under lossless unit-delay transports
-(per-message RNG draws have no deterministic cross-process order), so the
-PlanetLab setting must *fall back* to the single-process engine with a
-``RuntimeWarning`` — and produce the exact same run the gate-at-1
-configuration produces.  These tests pin that contract and exercise the
-overloaded-inbox drop path composed with churn, the composition the
-paper's Section V-D deployment runs rely on.
+Exercises the PlanetLab setting's overloaded-inbox drop path, alone and
+composed with churn — the composition the paper's Section V-D deployment
+runs rely on.
 """
 
 from __future__ import annotations
@@ -18,10 +14,6 @@ from repro.datasets import survey_dataset
 from repro.network.message import MessageKind
 from repro.network.transport import PlanetLabTransport
 from repro.simulation.churn import ChurnModel
-from repro.simulation.engine import CycleEngine
-from repro.simulation.sharding import sharding
-
-from tests.test_sharding import system_state
 
 SEED = 11
 CYCLES = 15
@@ -42,68 +34,35 @@ def planetlab():
     )
 
 
-def run_grid_point(dataset, n_shards, *, churn=None, cycles=CYCLES):
-    """One (transport, churn, shards) grid point → (state, system)."""
-    with sharding(n_shards):
-        if n_shards > 1:
-            with pytest.warns(RuntimeWarning, match="lossless"):
-                system = WhatsUpSystem(
-                    dataset,
-                    WhatsUpConfig(f_like=6),
-                    seed=SEED,
-                    transport=planetlab(),
-                    churn=churn,
-                )
-        else:
-            system = WhatsUpSystem(
-                dataset,
-                WhatsUpConfig(f_like=6),
-                seed=SEED,
-                transport=planetlab(),
-                churn=churn,
-            )
-    assert type(system.engine) is CycleEngine  # lossy → single-process
+def run_grid_point(dataset, *, churn=None, cycles=CYCLES):
+    """One (transport, churn) grid point, run for *cycles* without drain."""
+    system = WhatsUpSystem(
+        dataset,
+        WhatsUpConfig(f_like=6),
+        seed=SEED,
+        transport=planetlab(),
+        churn=churn,
+    )
     system.run(cycles=cycles, drain=False)
-    return system_state(system), system
+    return system
 
 
-@pytest.mark.parametrize("n_shards", [1, 4])
-def test_overloaded_inbox_drops_fire(dataset, n_shards):
-    state, system = run_grid_point(dataset, n_shards)
+def test_overloaded_inbox_drops_fire(dataset):
+    system = run_grid_point(dataset)
     stats = system.stats
     assert len(system.engine.transport.overloaded_nodes) == 18
     assert stats.dropped[MessageKind.ITEM] > 0
     assert 0.0 < stats.loss_rate() < 1.0
-    # lossy runs have no fault plane: the engine is single-process
-    assert system.fault_stats() is None
 
 
-def test_lossy_fallback_identical_across_shard_gate(dataset):
-    """shards=4 falls back to the exact run shards=1 produces."""
-    state1, sys1 = run_grid_point(dataset, 1)
-    state4, sys4 = run_grid_point(dataset, 4)
-    assert state1 == state4
-
-
-@pytest.mark.parametrize("n_shards", [1, 4])
-def test_planetlab_composes_with_churn(dataset, n_shards):
+def test_planetlab_composes_with_churn(dataset):
     churn = ChurnModel(kill_rate=0.05, rejoin_after=3, start_cycle=2)
-    state, system = run_grid_point(dataset, n_shards, churn=churn)
+    system = run_grid_point(dataset, churn=churn)
     assert churn.total_kills > 0
     assert churn.total_rejoins > 0
     assert system.stats.dropped[MessageKind.ITEM] > 0
     # churned runs still deliver: the log recorded item receptions
     assert system.reached_matrix().any()
-
-
-def test_planetlab_with_churn_identical_across_shard_gate(dataset):
-    s1, _ = run_grid_point(
-        dataset, 1, churn=ChurnModel(kill_rate=0.05, rejoin_after=3, start_cycle=2)
-    )
-    s4, _ = run_grid_point(
-        dataset, 4, churn=ChurnModel(kill_rate=0.05, rejoin_after=3, start_cycle=2)
-    )
-    assert s1 == s4
 
 
 def test_inbox_capacity_is_the_only_item_drop_source(dataset):
@@ -114,10 +73,9 @@ def test_inbox_capacity_is_the_only_item_drop_source(dataset):
         base_loss=0.0,
         inbox_capacity=1,
     )
-    with sharding(1):
-        system = WhatsUpSystem(
-            dataset, WhatsUpConfig(f_like=6), seed=SEED, transport=transport
-        )
+    system = WhatsUpSystem(
+        dataset, WhatsUpConfig(f_like=6), seed=SEED, transport=transport
+    )
     system.run(cycles=CYCLES, drain=False)
     stats = system.stats
     assert stats.dropped[MessageKind.ITEM] > 0

@@ -18,8 +18,7 @@ from tests.conftest import make_item_profile
 
 
 class _Always:
-    """Constant opinion oracle; a class instance so it pickles into the
-    shard workers when the suite runs under a forced ``REPRO_SHARDS``."""
+    """Constant opinion oracle."""
 
     def __init__(self, liked: bool) -> None:
         self.liked = liked

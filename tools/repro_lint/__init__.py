@@ -1,36 +1,35 @@
 """repro-lint: AST rules for the repository's load-bearing invariants.
 
-Seven performance PRs left the tree resting on contracts that only the
+The performance layers left the tree resting on contracts that only the
 equivalence suites (and memory) enforced: RNG flows through seeded
-streams, ``REPRO_*`` gates through one registry, pickled objects drop
-process-local caches, cffi kernels receive cached addresses, iteration
-orders stay deterministic.  This package checks those contracts *at diff
-time* with ~8 custom AST rules:
+streams, ``REPRO_*`` gates through one registry, cffi kernels receive
+cached addresses, iteration orders stay deterministic, and nothing
+unpickles.  This package checks those contracts *at diff time* with six
+custom AST rules:
 
 ========  ==============================================================
 RL001     no stdlib ``random`` / hidden-global ``numpy.random`` draws /
           bare ``time.time()`` in ``src/repro`` — RNG must flow through
-          :mod:`repro.utils.rng` / shard streams, time through injected
-          clocks (wall-clock protocol modules are registry-declared)
+          :mod:`repro.utils.rng` streams, time through injected clocks
+          (wall-clock reporting modules are registry-declared)
 RL002     no direct ``REPRO_*`` environment reads outside the declared
           gate-registry module (:mod:`repro.core.gates`)
 RL003     every module-global gate setter (``set_*``) has a
           restore-guarded context-manager twin in the same module
-RL004     registry-declared shard-crossing classes keep a
-          ``__getstate__``/``__setstate__`` pair that addresses each of
-          their process-local cache attributes
 RL005     no ``ffi.from_buffer`` calls inside loops — cffi call sites
           pass cached addresses
 RL006     no syntactic set expressions feeding ordering-sensitive sinks
           (``list``/``tuple``/``enumerate``/``iter`` or a bare ``for``)
           without an explicit sort
-RL007     every NamedTuple in a wire-visible module is declared in
-          ``simulation.wire``'s ``WIRE_MESSAGE_REGISTRY`` codec table
 RL008     no unpickling (``pickle.loads``/``load``/``Unpickler``)
-          outside the declared mailbox/checkpoint modules
+          anywhere in ``src/repro``
 RL000     suppression hygiene: every inline suppression carries a
           non-empty reason
 ========  ==============================================================
+
+RL004 (pickle pairs on shard-crossing classes) and RL007 (the wire
+codec registry) were retired with the multi-process engine they
+guarded; their numbers are not reused.
 
 Run it from the repo root::
 

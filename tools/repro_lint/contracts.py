@@ -12,37 +12,7 @@ the tool works from any working directory and on any OS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-def _default_pickle_safe() -> dict[str, dict[str, tuple[str, ...]]]:
-    # file suffix -> {class name: process-local cache attrs the
-    # __getstate__/__setstate__ pair must address}
-    return {
-        "src/repro/gossip/vicinity.py": {
-            "ClusteringProtocol": ("cache",),
-        },
-        "src/repro/gossip/views.py": {
-            "ArrayView": ("_cols_addr", "_pobj_addr", "_ids", "_ts", "_wire"),
-        },
-        "src/repro/simulation/wire.py": {
-            "LinkEncoder": ("_addrs",),
-            "LinkDecoder": ("_addrs",),
-        },
-        "src/repro/simulation/node.py": {
-            "BaseNode": ("_alive_listener",),
-        },
-        "src/repro/core/beep.py": {
-            "BeepForwarder": ("cache", "_pool"),
-        },
-        "src/repro/core/profiles.py": {
-            "PackedView": ("_nd",),
-            "FrozenProfile": ("_nd",),
-        },
-        "src/repro/core/similarity.py": {
-            "_EphemeralPack": ("_nd",),
-        },
-    }
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -58,8 +28,6 @@ class Contracts:
     wall_clock_modules: tuple[str, ...] = (
         "src/repro/cli.py",
         "src/repro/experiments/runner.py",
-        "src/repro/simulation/sharding.py",
-        "src/repro/simulation/faults.py",
     )
 
     #: ``numpy.random`` attributes that are constructors/seeding types,
@@ -73,34 +41,6 @@ class Contracts:
         "PCG64DXSM",
         "MT19937",
         "Philox",
-    )
-
-    #: classes that cross the shard boundary and must drop process-local
-    #: caches in a ``__getstate__``/``__setstate__`` pair (RL004)
-    pickle_safe_classes: dict[str, dict[str, tuple[str, ...]]] = field(
-        default_factory=_default_pickle_safe
-    )
-
-    #: the module whose ``WIRE_MESSAGE_REGISTRY`` literal declares the
-    #: codec treatment of every NamedTuple that can cross a shard
-    #: mailbox (RL007)
-    wire_registry_module: str = "src/repro/simulation/wire.py"
-
-    #: modules whose NamedTuple classes are wire-visible and must appear
-    #: in the registry (RL007)
-    wire_message_modules: tuple[str, ...] = (
-        "src/repro/network/message.py",
-        "src/repro/gossip/rps.py",
-        "src/repro/gossip/vicinity.py",
-        "src/repro/gossip/views.py",
-        "src/repro/core/profiles.py",
-    )
-
-    #: the only modules allowed to unpickle (mailbox/checkpoint planes;
-    #: RL008)
-    mailbox_modules: tuple[str, ...] = (
-        "src/repro/simulation/sharding.py",
-        "src/repro/simulation/wire.py",
     )
 
     #: directory names skipped while recursing into lint roots (explicitly

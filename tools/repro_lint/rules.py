@@ -275,74 +275,6 @@ def rl003(project: Project) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
-# RL004 — shard-crossing classes drop process-local caches on pickle         #
-# --------------------------------------------------------------------------- #
-
-
-def rl004(project: Project) -> list[Finding]:
-    """shard-crossing class without a cache-dropping pickle pair"""
-    findings: list[Finding] = []
-    for declared_path, classes in project.contracts.pickle_safe_classes.items():
-        ctx = project.find(declared_path)
-        if ctx is None:
-            continue
-        defined = {
-            node.name: node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for class_name, cache_attrs in classes.items():
-            cls = defined.get(class_name)
-            if cls is None:
-                findings.append(
-                    Finding(
-                        "RL004",
-                        ctx.rel,
-                        1,
-                        1,
-                        f"registry-declared class {class_name} not found — "
-                        "update the pickle-safety registry in "
-                        "tools/repro_lint/contracts.py",
-                    )
-                )
-                continue
-            methods = {
-                node.name: node
-                for node in cls.body
-                if isinstance(node, ast.FunctionDef)
-            }
-            getstate = methods.get("__getstate__")
-            setstate = methods.get("__setstate__")
-            if getstate is None or setstate is None:
-                findings.append(
-                    _finding(
-                        "RL004",
-                        ctx,
-                        cls,
-                        f"{class_name} crosses the shard boundary but lacks a "
-                        "__getstate__/__setstate__ pair dropping its "
-                        "process-local caches",
-                    )
-                )
-                continue
-            pair_src = (ast.get_source_segment(ctx.source, getstate) or "") + (
-                ast.get_source_segment(ctx.source, setstate) or ""
-            )
-            for attr in cache_attrs:
-                if attr not in pair_src:
-                    findings.append(
-                        _finding(
-                            "RL004",
-                            ctx,
-                            getstate,
-                            f"pickle pair of {class_name} does not address "
-                            f"the process-local cache {attr!r}",
-                        )
-                    )
-    return findings
-
-
-# --------------------------------------------------------------------------- #
 # RL005 — no from_buffer marshaling inside loops                              #
 # --------------------------------------------------------------------------- #
 
@@ -423,102 +355,15 @@ def rl006(project: Project) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------- #
-# RL007 — NamedTuple wire messages must be codec-registered                   #
-# --------------------------------------------------------------------------- #
-
-
-def _is_namedtuple_class(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        if _is_name(base, "NamedTuple"):
-            return True
-        if isinstance(base, ast.Attribute) and base.attr == "NamedTuple":
-            return True
-    return False
-
-
-def rl007(project: Project) -> list[Finding]:
-    """NamedTuple wire message missing from the codec registry"""
-    contracts = project.contracts
-    registry_ctx = project.find(contracts.wire_registry_module)
-    if registry_ctx is None:
-        return []
-    registry_node: ast.stmt | None = None
-    registered: set[str] = set()
-    for node in registry_ctx.tree.body:
-        if isinstance(node, ast.Assign):
-            is_registry = any(
-                _is_name(target, "WIRE_MESSAGE_REGISTRY")
-                for target in node.targets
-            )
-        elif isinstance(node, ast.AnnAssign):
-            is_registry = _is_name(node.target, "WIRE_MESSAGE_REGISTRY")
-        else:
-            continue
-        if is_registry:
-            registry_node = node
-            if isinstance(node.value, ast.Dict):
-                registered = {
-                    key.value
-                    for key in node.value.keys
-                    if isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                }
-    findings: list[Finding] = []
-    if registry_node is None:
-        return [
-            Finding(
-                "RL007",
-                registry_ctx.rel,
-                1,
-                1,
-                "wire module defines no WIRE_MESSAGE_REGISTRY codec table",
-            )
-        ]
-    seen: set[str] = set()
-    all_modules_scanned = True
-    for declared in contracts.wire_message_modules:
-        ctx = project.find(declared)
-        if ctx is None:
-            all_modules_scanned = False
-            continue
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) and _is_namedtuple_class(node):
-                seen.add(node.name)
-                if node.name not in registered:
-                    findings.append(
-                        _finding(
-                            "RL007",
-                            ctx,
-                            node,
-                            f"NamedTuple {node.name} is wire-visible but not "
-                            "declared in simulation.wire's "
-                            "WIRE_MESSAGE_REGISTRY",
-                        )
-                    )
-    if all_modules_scanned:
-        for stale in sorted(registered - seen):
-            findings.append(
-                _finding(
-                    "RL007",
-                    registry_ctx,
-                    registry_node,
-                    f"WIRE_MESSAGE_REGISTRY declares {stale!r} but no such "
-                    "NamedTuple exists in the wire-visible modules",
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------- #
-# RL008 — unpickling only in the mailbox/checkpoint modules                   #
+# RL008 — no unpickling in src/repro                                         #
 # --------------------------------------------------------------------------- #
 
 
 def rl008(project: Project) -> list[Finding]:
-    """unpickling outside the mailbox modules"""
+    """unpickling in src/repro"""
     findings: list[Finding] = []
     for ctx in project.contexts:
-        if not ctx.is_src or _in_declared(ctx, project.contracts.mailbox_modules):
+        if not ctx.is_src:
             continue
         for node in ast.walk(ctx.tree):
             bad: str | None = None
@@ -535,14 +380,14 @@ def rl008(project: Project) -> list[Finding]:
                         "RL008",
                         ctx,
                         node,
-                        f"{bad} on non-mailbox data; unpickling is confined "
-                        "to the CRC-checked mailbox/checkpoint planes",
+                        f"{bad} in src/repro; the simulator deserialises no "
+                        "pickles, and unpickling runs arbitrary code",
                     )
                 )
     return findings
 
 
-ALL_RULES = [rl001, rl002, rl003, rl004, rl005, rl006, rl007, rl008]
+ALL_RULES = [rl001, rl002, rl003, rl005, rl006, rl008]
 
 
 def rule_table() -> str:
