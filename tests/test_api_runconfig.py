@@ -22,6 +22,7 @@ from repro._native import native_kernel_enabled
 from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.arraystate import array_state_enabled
+from repro.core.gates import env_flag
 from repro.core.similarity import batch_scoring, batch_scoring_enabled
 from repro.datasets import survey_dataset
 from repro.simulation.delivery import delivery_batching_enabled
@@ -79,13 +80,29 @@ class TestEnvParity:
             "REPRO_BATCH_SIM": "OFF",
             "REPRO_NATIVE": "No",
             "REPRO_BATCH_DELIVERY": "false",
-            "REPRO_ARRAY_STATE": "maybe",  # not a disabled word -> on
+            "REPRO_ARRAY_STATE": "off",
+        }
+        assert RunConfig.from_env(env) == RunConfig(**VARIANT)
+
+    def test_from_env_applies_module_floors_and_fallbacks(self):
+        # every surviving gate is a flag: only a disabled word turns it
+        # off; any other spelling falls back to on, exactly as the owning
+        # modules parse it, and an unset variable takes the default
+        env = {
+            "REPRO_BATCH_SIM": "maybe",
+            "REPRO_BATCH_DELIVERY": "2",
+            "REPRO_NATIVE": "",
         }
         cfg = RunConfig.from_env(env)
-        assert cfg.batch_sim is False
-        assert cfg.native is False
-        assert cfg.batch_delivery is False
-        assert cfg.array_state is True
+        assert cfg == RunConfig()
+        assert all(env_flag(name, env=env) for name in env)
+
+    def test_validation_rejects_bad_fields(self):
+        # the retired multi-process knobs are not fields any more
+        with pytest.raises(TypeError, match="shards"):
+            RunConfig(shards=2)
+        with pytest.raises(TypeError, match="wire_tier"):
+            RunConfig().replace(wire_tier="columns")
 
     def test_frozen_and_replace(self):
         cfg = RunConfig()

@@ -1,8 +1,9 @@
-"""Lossy-transport × churn grid.
+"""Lossy-transport × inbox-depth × churn grid.
 
 Exercises the PlanetLab setting's overloaded-inbox drop path, alone and
 composed with churn — the composition the paper's Section V-D deployment
-runs rely on.
+runs rely on — at overloaded-inbox depths from the tightest queue (one
+item message per cycle) to a looser one.
 """
 
 from __future__ import annotations
@@ -24,40 +25,42 @@ def dataset():
     return survey_dataset(n_base_users=36, n_base_items=30, seed=4)
 
 
-def planetlab():
+def planetlab(inbox_capacity=2):
     # small inbox so congestion drops actually fire on a 36-node run
     return PlanetLabTransport(
         overloaded_fraction=0.5,
         overloaded_loss=0.2,
         base_loss=0.02,
-        inbox_capacity=2,
+        inbox_capacity=inbox_capacity,
     )
 
 
-def run_grid_point(dataset, *, churn=None, cycles=CYCLES):
-    """One (transport, churn) grid point, run for *cycles* without drain."""
+def run_grid_point(dataset, inbox_capacity, *, churn=None, cycles=CYCLES):
+    """One (inbox depth, churn) grid point, run for *cycles* without drain."""
     system = WhatsUpSystem(
         dataset,
         WhatsUpConfig(f_like=6),
         seed=SEED,
-        transport=planetlab(),
+        transport=planetlab(inbox_capacity),
         churn=churn,
     )
     system.run(cycles=cycles, drain=False)
     return system
 
 
-def test_overloaded_inbox_drops_fire(dataset):
-    system = run_grid_point(dataset)
+@pytest.mark.parametrize("inbox_capacity", [1, 2, 4])
+def test_overloaded_inbox_drops_fire(dataset, inbox_capacity):
+    system = run_grid_point(dataset, inbox_capacity)
     stats = system.stats
     assert len(system.engine.transport.overloaded_nodes) == 18
     assert stats.dropped[MessageKind.ITEM] > 0
     assert 0.0 < stats.loss_rate() < 1.0
 
 
-def test_planetlab_composes_with_churn(dataset):
+@pytest.mark.parametrize("inbox_capacity", [1, 2, 4])
+def test_planetlab_composes_with_churn(dataset, inbox_capacity):
     churn = ChurnModel(kill_rate=0.05, rejoin_after=3, start_cycle=2)
-    system = run_grid_point(dataset, churn=churn)
+    system = run_grid_point(dataset, inbox_capacity, churn=churn)
     assert churn.total_kills > 0
     assert churn.total_rejoins > 0
     assert system.stats.dropped[MessageKind.ITEM] > 0
