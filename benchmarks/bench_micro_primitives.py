@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state
 from repro.core.profiles import FrozenProfile, ItemProfile, UserProfile
 from repro.core.similarity import (
     ScoreCache,
     cosine_similarity,
+    native_available,
     native_kernel,
     pairwise_wup,
     score_candidates,
@@ -27,8 +27,19 @@ from repro.gossip.rps import RpsProtocol
 from repro.gossip.vicinity import ClusteringProtocol
 from repro.gossip.views import ArrayView, View, ViewEntry
 
-#: the two state-plane backends every bookkeeping primitive is measured on
+#: the two view classes every bookkeeping primitive is measured on: the
+#: dict View and the kernel-driven ArrayView
 PLANES = ["legacy", "array"]
+
+
+def _new_view(plane, capacity, owner=999):
+    """A fresh view of *plane*'s class (ArrayView needs the kernels)."""
+    if plane == "legacy":
+        return View(capacity, owner_id=owner)
+    if not native_available():
+        pytest.skip("ArrayView needs the native extension")
+    with native_kernel(True):
+        return ArrayView(capacity, owner_id=owner)
 
 
 def _profile_pair(n_items=120, overlap=0.4, seed=0):
@@ -211,8 +222,7 @@ def _descriptor_batch(k=17, seed=31, universe=4000, n_items=40):
 
 
 def _view(plane, capacity=30, owner=999, prefill=30, seed=7):
-    cls = View if plane == "legacy" else ArrayView
-    v = cls(capacity, owner_id=owner)
+    v = _new_view(plane, capacity, owner)
     v.upsert_all(_descriptor_batch(prefill, seed=seed))
     return v
 
@@ -230,9 +240,11 @@ def test_micro_view_upsert_all(benchmark, plane):
 
 @pytest.mark.benchmark(group="micro-bookkeeping")
 def test_micro_view_upsert_columns_kernel(benchmark):
-    # the columnar shipment path: one state_upsert kernel call (array
-    # plane only; falls back to upsert_all without the extension)
-    with array_state(True):
+    # the columnar shipment path: one state_upsert kernel call (ArrayView
+    # only, so it needs the extension)
+    if not native_available():
+        pytest.skip("ArrayView needs the native extension")
+    with native_kernel(True):
         sender = RpsProtocol(1, 30, np.random.default_rng(0))
         sender.view.upsert_all(_descriptor_batch(30, seed=9))
         profile = UserProfile()
@@ -253,8 +265,7 @@ def test_micro_view_ranked_trim(benchmark, plane):
     scores = [float(s) for s in rng.random(60)]
 
     def setup():
-        cls = View if plane == "legacy" else ArrayView
-        v = cls(20, owner_id=999)
+        v = _new_view(plane, 20)
         v.upsert_all(base)
         return (v, v.entries(), list(scores)), {}
 
@@ -274,8 +285,7 @@ def test_micro_view_trim_random(benchmark, plane):
     rng = np.random.default_rng(23)
 
     def setup():
-        cls = View if plane == "legacy" else ArrayView
-        v = cls(30, owner_id=999)
+        v = _new_view(plane, 30)
         v.upsert_all(base)
         return (v,), {}
 
@@ -304,38 +314,32 @@ def test_micro_view_oldest(benchmark, plane):
 
 
 @pytest.mark.benchmark(group="micro-bookkeeping")
-@pytest.mark.parametrize("plane", PLANES)
-def test_micro_profile_integrate(benchmark, plane):
+def test_micro_profile_integrate(benchmark):
     # Algorithm 1's addToNewsProfile: fold a liker into the item profile
     # (steady state: every id present -> the averaging path)
-    with array_state(plane == "array"):
-        rng = np.random.default_rng(29)
-        item = ItemProfile()
-        liker = UserProfile()
-        for iid in rng.choice(20_000, size=150, replace=False):
-            item.set(int(iid), 0, float(rng.random()))
-            liker.set(int(iid), 0, float(rng.integers(0, 2)))
-        item.packed()  # array plane: the journal chain rides along
-        benchmark(item.integrate, liker)
-        assert len(item) == 150
+    rng = np.random.default_rng(29)
+    item = ItemProfile()
+    liker = UserProfile()
+    for iid in rng.choice(20_000, size=150, replace=False):
+        item.set(int(iid), 0, float(rng.random()))
+        liker.set(int(iid), 0, float(rng.integers(0, 2)))
+    benchmark(item.integrate, liker)
+    assert len(item) == 150
 
 
 @pytest.mark.benchmark(group="micro-bookkeeping")
-@pytest.mark.parametrize("plane", PLANES)
-def test_micro_profile_snapshot_pack(benchmark, plane):
+def test_micro_profile_snapshot_pack(benchmark):
     # per-opinion profile mutation + scored snapshot: the per-receipt
-    # path (set bumps the version; the snapshot repacks or adopts)
-    with array_state(plane == "array"):
-        rng = np.random.default_rng(37)
-        profile = UserProfile()
-        for iid in rng.choice(20_000, size=200, replace=False):
-            profile.set(int(iid), 0, float(rng.integers(0, 2)))
-        _ = profile.snapshot().rated_ids  # mark the profile as scored
-        target = int(next(iter(profile.scores)))
+    # path (set bumps the version; the snapshot repacks lazily)
+    rng = np.random.default_rng(37)
+    profile = UserProfile()
+    for iid in rng.choice(20_000, size=200, replace=False):
+        profile.set(int(iid), 0, float(rng.integers(0, 2)))
+    target = int(next(iter(profile.scores)))
 
-        def mutate_and_pack():
-            profile.set(target, 1, 1.0)
-            return profile.snapshot().rated_ids
+    def mutate_and_pack():
+        profile.set(target, 1, 1.0)
+        return profile.snapshot().rated_ids
 
-        ids = benchmark(mutate_and_pack)
-        assert ids.size == 200
+    ids = benchmark(mutate_and_pack)
+    assert ids.size == 200

@@ -24,16 +24,14 @@ Each scenario runs once per pipeline tier:
 * **batch** — vectorised similarity scoring (PR 1) plus the batched
   per-cycle delivery pipeline (PR 2), native kernels off;
 * **native** — the batch stack with the compiled kernels of
-  :mod:`repro._native` on top (PR 3's merge scoring+trim and BEEP
-  fan-out in C), on the *legacy* dict/NamedTuple state structures.
-  Skipped with a note when the extension is not built;
-* **array** — the full stack on the array-backed state plane (PR 4:
-  columnar views + journaled packed profiles + the state bookkeeping
-  kernels, ``REPRO_ARRAY_STATE``).
+  :mod:`repro._native` on top (merge scoring+trim and BEEP fan-out in C),
+  which also puts the node views on the columnar ``ArrayView`` driven by
+  the state bookkeeping kernels.  Skipped with a note when the extension
+  is not built.
 
-The array and native runs also report the resident footprint of the node
-state (views + profiles, bytes/node via the ``storage_nbytes()`` facade)
-so the columnar layout's memory story is tracked alongside throughput.
+Each scenario also reports the resident footprint of the dict-``View``
+node state (views + profiles, bytes/node via the ``storage_nbytes()``
+facade) from its batch run.
 
 The run also verifies that all tiers leave *identical* outcomes after a
 fixed-seed run: WUP and RPS view contents, user profiles, the full
@@ -63,7 +61,6 @@ import time
 from pathlib import Path
 
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state
 from repro.core.similarity import (
     batch_scoring,
     default_score_cache,
@@ -76,12 +73,11 @@ from repro.simulation.delivery import delivery_batching
 #: benchmark seed (deterministic suite)
 BENCH_SEED = 2
 
-#: pipeline tier -> (batch gate, native gate, array-state gate)
-MODES: dict[str, tuple[bool, bool, bool]] = {
-    "scalar": (False, False, False),
-    "batch": (True, False, False),
-    "native": (True, True, False),
-    "array": (True, True, True),
+#: pipeline tier -> (batch gate, native gate)
+MODES: dict[str, tuple[bool, bool]] = {
+    "scalar": (False, False),
+    "batch": (True, False),
+    "native": (True, True),
 }
 
 #: scenario name -> (scale, dataset, f_like, total cycles)
@@ -125,23 +121,6 @@ PR2_BASELINE_CPS = {
     "paper-synthetic": 0.6632,
 }
 
-#: the committed PR 3 ``native_cps`` values — the standing baseline the
-#: PR 4 array-state acceptance ratio ("paired-median ≥1.3× cycles/sec
-#: over the committed PR 3 baseline at medium/paper synthetic scale") is
-#: measured against
-PR3_BASELINE_CPS = {
-    "small-survey": 38.274,
-    "medium-survey": 7.1259,
-    "medium-synthetic": 3.433,
-    "paper-synthetic": 0.7265,
-}
-
-#: scenario -> target array-plane speedup over the committed PR 3 baseline
-ACCEPTANCE_TARGETS = {
-    "medium-synthetic": 1.3,
-    "paper-synthetic": 1.3,
-}
-
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scale_throughput.json"
 
 
@@ -154,9 +133,9 @@ def build_system(spec: dict, seed: int = BENCH_SEED) -> WhatsUpSystem:
 def memory_report(system: WhatsUpSystem) -> dict:
     """Bytes/node of the resident node state (views + profiles).
 
-    Read through the ``storage_nbytes()`` facade, so both state-plane
-    backends are measured identically: the containers each backend owns,
-    excluding the shared entry/snapshot objects.
+    Read through the ``storage_nbytes()`` facade, so both view classes
+    are measured identically: the containers each one owns, excluding
+    the shared entry/snapshot objects.
     """
     n = max(1, len(system.nodes))
     views = 0
@@ -174,16 +153,14 @@ def memory_report(system: WhatsUpSystem) -> dict:
 def run_mode(spec: dict, mode: str, seed: int = BENCH_SEED) -> dict:
     """One fresh fixed-seed run of a pipeline tier (see :data:`MODES`).
 
-    The restore-guarded context managers pin the batch/native/array
-    gates for the run and put the previous settings back even if it
-    raises.
+    The restore-guarded context managers pin the batch/native gates for
+    the run and put the previous settings back even if it raises.
     """
-    batch, native, arrays = MODES[mode]
+    batch, native = MODES[mode]
     with (
         batch_scoring(batch),
         delivery_batching(batch),
         native_kernel(native),
-        array_state(arrays),
     ):
         default_score_cache().clear()
         system = build_system(spec, seed)
@@ -230,24 +207,17 @@ def _system_state(system: WhatsUpSystem) -> dict:
 def check_equivalence(spec: dict, seed: int = BENCH_SEED) -> dict:
     """Run every pipeline tier at a fixed seed; compare final states.
 
-    The array mode runs regardless of the extension: without it the
-    array plane falls back to its pure-Python column paths, which must
-    still be bitwise-identical to every other tier.
+    The native tier also runs on ``ArrayView`` state, so the comparison
+    covers both view layouts.
     """
-    modes = [
-        "scalar",
-        "batch",
-        *(["native"] if native_available() else []),
-        "array",
-    ]
+    modes = ["scalar", "batch", *(["native"] if native_available() else [])]
     states = {}
     for mode in modes:
-        batch, native, arrays = MODES[mode]
+        batch, native = MODES[mode]
         with (
             batch_scoring(batch),
             delivery_batching(batch),
             native_kernel(native),
-            array_state(arrays),
         ):
             default_score_cache().clear()
             system = build_system(spec, seed)
@@ -321,9 +291,10 @@ def main(argv: list[str] | None = None) -> int:
             "speedup_batch_vs_scalar": round(
                 batch["cycles_per_sec"] / scalar["cycles_per_sec"], 3
             ),
+            "memory_legacy": batch["memory"],
         }
         if have_native:
-            print(f"[{name}] native (compiled kernels, legacy state) ...")
+            print(f"[{name}] native (compiled kernels, ArrayView state) ...")
             native = run_mode(spec, "native")
             print(f"[{name}]   {native['cycles_per_sec']} cycles/sec")
             entry["native_cps"] = native["cycles_per_sec"]
@@ -333,59 +304,20 @@ def main(argv: list[str] | None = None) -> int:
             entry["speedup_native_vs_batch"] = round(
                 native["cycles_per_sec"] / batch["cycles_per_sec"], 3
             )
-            entry["memory_legacy"] = native["memory"]
-        else:
-            entry["memory_legacy"] = batch["memory"]
-        print(f"[{name}] array (columnar state plane) ...")
-        array = run_mode(spec, "array")
-        print(f"[{name}]   {array['cycles_per_sec']} cycles/sec")
-        entry["array_cps"] = array["cycles_per_sec"]
-        entry["memory_array"] = array["memory"]
-        entry["speedup_array_vs_batch"] = round(
-            array["cycles_per_sec"] / batch["cycles_per_sec"], 3
-        )
-        if have_native:
-            entry["speedup_array_vs_native"] = round(
-                array["cycles_per_sec"] / native["cycles_per_sec"], 3
-            )
         pre_pr = baselines.get(name, PR2_BASELINE_CPS.get(name))
         if pre_pr:
             entry["pre_pr_baseline_cps"] = pre_pr
             best = entry.get("native_cps", entry["batch_cps"])
             entry["speedup_vs_pre_pr"] = round(best / pre_pr, 3)
-        pr3 = PR3_BASELINE_CPS.get(name)
-        if pr3:
-            entry["pr3_baseline_cps"] = pr3
-            entry["speedup_array_vs_pr3"] = round(
-                array["cycles_per_sec"] / pr3, 3
-            )
         report["scenarios"][name] = entry
 
-    modes_label = (
-        "scalar/batch" + ("/native" if have_native else "") + "/array"
-    )
+    modes_label = "scalar/batch" + ("/native" if have_native else "")
     print(f"[equivalence] {modes_label} on small-survey ...")
     report["equivalence"] = check_equivalence(SCENARIOS["small-survey"])
     print(f"[equivalence]   {report['equivalence']}")
 
     cache = default_score_cache()
     report["cache"] = {"hits": cache.hits, "misses": cache.misses}
-
-    acceptance = {}
-    for scenario, target in ACCEPTANCE_TARGETS.items():
-        entry = report["scenarios"].get(scenario)
-        if entry is None:
-            continue
-        achieved = entry.get("speedup_array_vs_pr3")
-        if achieved is None:
-            continue
-        acceptance[scenario] = {
-            "target_speedup": target,
-            "achieved_speedup": achieved,
-            "met": achieved >= target,
-        }
-    if acceptance:
-        report["acceptance"] = acceptance
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -2,8 +2,8 @@
 
 Reads a freshly produced ``bench_scale_throughput.py`` report and the
 committed ``BENCH_scale_throughput.json`` baseline, then compares
-``batch_cps`` — and, when both reports carry them, ``native_cps`` and
-the array-state-plane ``array_cps`` — per scenario:
+``batch_cps`` — and, when both reports carry it, ``native_cps`` — per
+scenario:
 
 * a regression beyond ``--threshold`` (default 25%) **fails** the check for
   scenarios large enough to measure reliably;
@@ -52,7 +52,7 @@ def compare(
         if base is None:
             warnings.append(f"{name}: no baseline entry, skipping")
             continue
-        for key in ("batch_cps", "native_cps", "array_cps"):
+        for key in ("batch_cps", "native_cps"):
             base_cps = base.get(key)
             new_cps = entry.get(key)
             if not base_cps:
@@ -60,7 +60,7 @@ def compare(
                     # batch_cps is mandatory in every baseline; a silent
                     # skip here would gate zero comparisons while green
                     warnings.append(f"{name}: baseline missing {key}")
-                continue  # native/array: not tracked in this baseline yet
+                continue  # native: not tracked in this baseline yet
             if not new_cps:
                 # a fresh report without the native path (no compiler on
                 # the runner) is the supported fallback configuration

@@ -4,14 +4,16 @@ This package hosts the **native tier** of the three-tier similarity
 dispatch (native → numpy → set-algebra, see
 :mod:`repro.core.similarity`): a small C extension, built with cffi from
 :mod:`repro._native.build_native`, that scores packed candidate pools,
-performs the merge trim / argmax selections, and runs the array-state
-bookkeeping (``state_*`` kernels) at C speed.
+performs the merge trim / argmax selections, and runs the
+:class:`~repro.gossip.views.ArrayView` bookkeeping (``state_*`` kernels)
+at C speed.
 
 The extension is strictly optional:
 
 * when the compiled module is absent (no C toolchain, fresh checkout), the
   loader reports "unavailable" and every caller stays on the pure-Python
-  tiers — the tree imports and passes its test suite without a compiler;
+  tiers (and views on the dict ``View``) — the tree imports and passes
+  its test suite without a compiler;
 * ``REPRO_NATIVE=0`` (or :func:`set_native_kernel` /
   :func:`native_kernel`) disables the native tier even when the extension
   is built, which the equivalence tests use to prove all tiers produce
@@ -217,7 +219,7 @@ class NativeKernel:
         n = self.lib.whatsup_argmax_ties(self._f64(scores), k, self._i64(out))
         return out[:n]
 
-    # -- array-state plane kernels (ArrayView bookkeeping) -----------------
+    # -- state kernels (ArrayView bookkeeping) -----------------------------
     #
     # These take cached integer addresses of the view's column block and
     # payload-reference array (the view keeps the backing numpy arrays

@@ -489,7 +489,7 @@ int64_t whatsup_argmax_ties(const double *scores, int64_t k, int64_t *out)
     return n;
 }
 
-/* ---- array-state plane kernels (ArrayView bookkeeping) --------------- */
+/* ---- state kernels (ArrayView bookkeeping) --------------------------- */
 
 /* These kernels operate on the ArrayView state plane: a (3, alloc) int64
  * column block laid out [ids | ts | wire] (row pointers derived from the

@@ -1,7 +1,7 @@
 """The typed run-configuration API: one object for the whole gate matrix.
 
 The pipeline grew one ``REPRO_*`` env gate per performance layer — batch
-scoring, batched delivery, native kernels and the array state plane.
+scoring, batched delivery and native kernels.
 Each has its own module, setter, and context manager; programmatic
 callers had to know all of them and stack the restore guards by hand.
 
@@ -55,10 +55,10 @@ class RunConfig:
     #: per-cycle batched item delivery (``REPRO_BATCH_DELIVERY``)
     batch_delivery: bool = True
     #: compiled C kernels where available (``REPRO_NATIVE``); harmless to
-    #: leave on when the extension is absent — dispatch falls back
+    #: leave on when the extension is absent — dispatch falls back.  Also
+    #: picks the view layout: columnar ``ArrayView`` with the kernels, the
+    #: dict ``View`` without
     native: bool = True
-    #: columnar array-backed view state (``REPRO_ARRAY_STATE``)
-    array_state: bool = True
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None) -> "RunConfig":
@@ -75,7 +75,6 @@ class RunConfig:
             batch_sim=env_flag("REPRO_BATCH_SIM", env=env),
             batch_delivery=env_flag("REPRO_BATCH_DELIVERY", env=env),
             native=env_flag("REPRO_NATIVE", env=env),
-            array_state=env_flag("REPRO_ARRAY_STATE", env=env),
         )
 
     def as_env(self) -> dict[str, str]:
@@ -89,7 +88,6 @@ class RunConfig:
             "REPRO_BATCH_SIM": "1" if self.batch_sim else "0",
             "REPRO_BATCH_DELIVERY": "1" if self.batch_delivery else "0",
             "REPRO_NATIVE": "1" if self.native else "0",
-            "REPRO_ARRAY_STATE": "1" if self.array_state else "0",
         }
 
     def replace(self, **changes: Any) -> "RunConfig":
@@ -103,15 +101,13 @@ class RunConfig:
         """Activate every gate; restore all prior state on exit.
 
         The one context manager replacing the per-module stack
-        (``batch_scoring`` + ``delivery_batching`` + ``native_kernel`` +
-        ``array_state``).  Settings are consulted when engines are
+        (``batch_scoring`` + ``delivery_batching`` + ``native_kernel``).  Settings are consulted when engines are
         *constructed*: build (or run) the system inside the block; an
         engine keeps its configuration after the block exits.
         Exception-safe — the previous state comes back even when the
         guarded block raises.
         """
         from repro._native import set_native_kernel
-        from repro.core.arraystate import set_array_state
         from repro.core.similarity import set_batch_scoring
         from repro.simulation.delivery import set_delivery_batching
 
@@ -124,7 +120,6 @@ class RunConfig:
             _set(set_batch_scoring, self.batch_sim)
             _set(set_delivery_batching, self.batch_delivery)
             _set(set_native_kernel, self.native)
-            _set(set_array_state, self.array_state)
             yield self
         finally:
             while undo:

@@ -8,7 +8,7 @@ Usage (installed as ``whatsup-repro``, also ``python -m repro``)::
     whatsup-repro run fig4 --seed 7 --scale medium
 
 The pipeline gates (``REPRO_BATCH_SIM``, ``REPRO_BATCH_DELIVERY``,
-``REPRO_NATIVE``, ``REPRO_ARRAY_STATE``) are read from the environment;
+``REPRO_NATIVE``) are read from the environment;
 scripts pin them with :class:`repro.api.RunConfig` instead.
 
 Every experiment prints the paper-shaped table/series for its id; the same

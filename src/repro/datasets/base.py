@@ -20,13 +20,16 @@ not redistributable — see DESIGN.md for the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.news import NewsItem
 from repro.simulation.schedule import PublicationSchedule
 from repro.utils.exceptions import DatasetError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Dataset", "OpinionOracle"]
 

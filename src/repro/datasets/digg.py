@@ -22,12 +22,16 @@ exercises:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.datasets._build import ensure_items_liked, finalize_items
 from repro.datasets.base import Dataset
 from repro.utils.exceptions import DatasetError
+
+if TYPE_CHECKING:
+    import networkx as nx
 from repro.utils.rng import spawn_generator
 from repro.utils.validation import check_positive, check_probability
 
@@ -74,6 +78,8 @@ def _follower_graph(
     the joiner, otherwise among everyone.  An edge ``influencer → joiner``
     means the joiner receives the influencer's cascades.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(n_users))
     join_order = rng.permutation(n_users)

@@ -58,14 +58,14 @@ class RpsMessage(NamedTuple):
         request with a reply (``False``), closing the push–pull.
     wire:
         Precomputed :meth:`wire_size`, when the sender's view could price
-        the shipment off its wire column (array state plane); ``None``
+        the shipment off its wire column (:class:`ArrayView`); ``None``
         falls back to the per-descriptor walk.  Both paths produce the
         same byte count — the sizes are memoised per profile snapshot.
     cols:
         The shipped ``(ids, ts, wire)`` columns aligned with *entries*,
         sliced from the sender's view columns — the receiver's merge
         consumes them directly (:meth:`ArrayView.upsert_columns`) with no
-        per-entry field marshaling.  ``None`` on the legacy backend.
+        per-entry field marshaling.  ``None`` from a dict :class:`View`.
     """
 
     sender: int
@@ -180,10 +180,10 @@ class RpsProtocol:
 
         The partner's own entry is excluded from the shipped half (it learns
         nothing from its own descriptor), matching standard shuffle
-        implementations.  Returns ``(payload, wire, cols)``: on the array
-        state plane the shipment's ``(ids, ts, wire)`` columns are sliced
-        off the view's own columns and its byte size comes from one wire-
-        column sum; the legacy backend returns ``(payload, None, None)``
+        implementations.  Returns ``(payload, wire, cols)``: an
+        :class:`ArrayView` slices the shipment's ``(ids, ts, wire)``
+        columns off its own and prices it with one wire-column sum; a dict
+        :class:`View` returns ``(payload, None, None)``
         and the message measures itself by walking descriptors — same
         bytes either way.
         """

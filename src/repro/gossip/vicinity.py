@@ -52,7 +52,7 @@ class ClusteringMessage(NamedTuple):
     A NamedTuple for the same hot-path construction economics as
     :class:`~repro.gossip.rps.RpsMessage`.  *wire* carries the
     precomputed byte size when the sender's view priced the shipment off
-    its wire column (array state plane); ``None`` → per-descriptor walk.
+    its wire column (``ArrayView``); ``None`` → per-descriptor walk.
     """
 
     sender: int
@@ -153,9 +153,9 @@ class ClusteringProtocol:
     ) -> ClusteringMessage:
         """Own fresh descriptor + the whole view but *exclude*, priced.
 
-        On the array state plane the shipment's byte size comes off the
-        view's wire column in one pass; the legacy backend leaves it
-        ``None`` and the message measures itself by walking descriptors.
+        An :class:`ArrayView` prices the shipment off its wire column in
+        one pass; a dict :class:`View` leaves it ``None`` and the message
+        measures itself by walking descriptors.
         """
         view = self.view
         own = self.descriptor(profile, now)

@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from repro._native import kernel as _native
-from repro.core.arraystate import array_state_enabled
+from repro._native import kernel as _native, native_kernel_enabled
 from repro.core.profiles import FrozenProfile
 from repro.utils.exceptions import ConfigurationError
 
@@ -253,7 +252,7 @@ class View:
         entries: "tuple[ViewEntry, ...] | list[ViewEntry]",
         cols: "object | None" = None,
     ) -> None:
-        """Merge a shipment; the legacy backend ignores shipped columns.
+        """Merge a shipment; the dict backend ignores shipped columns.
 
         The facade twin of :meth:`ArrayView.upsert_columns`: callers hand
         over whatever the message carried and each backend consumes what
@@ -262,7 +261,7 @@ class View:
         self.upsert_all(entries)
 
     def entries_with_columns(self):
-        """``(entries, None)`` — the legacy backend has no columns."""
+        """``(entries, None)`` — the dict backend has no columns."""
         return self._entry_list(), None
 
     def upsert_all(self, entries: Iterable[ViewEntry]) -> None:
@@ -477,34 +476,48 @@ class View:
 
 
 class ArrayView:
-    """Array-backed view storage behind the :class:`View` facade.
+    """Columnar view storage driven by the compiled state kernels.
 
-    The columnar twin of :class:`View`.  Entries live in one preallocated
-    state block per view:
+    The columnar twin of :class:`View`, used when the native kernels of
+    :mod:`repro._native` are loaded (see :func:`make_view`).  It binds the
+    kernel once at construction; building one without the kernels raises
+    :class:`~repro.utils.exceptions.ConfigurationError`.
 
-    * ``_cols`` — a ``(3, alloc)`` ``int64`` block whose rows are the
-      node-id, timestamp and wire-size columns (``_ids``/``_ts``/``_wire``
-      are row views into it);
+    Column layout and ownership
+    ---------------------------
+    An :class:`ArrayView` owns exactly two stores:
+
+    * ``_cols`` — one preallocated ``(3, alloc)`` ``int64`` block whose
+      rows are the node-id, timestamp and wire-size columns
+      (``_ids``/``_ts``/``_wire`` are row views into it);
     * ``_pobj`` — the payload-reference column: a numpy *object* array
       holding the :class:`ViewEntry` objects, slot-aligned with the
       columns.
 
-    The base addresses of both are cached on the view (refreshed on
-    reallocation), so the native bookkeeping kernels
-    (:meth:`~repro._native.NativeKernel.state_upsert`,
-    ``state_select``, ``state_oldest``) receive plain integers and walk
-    the columns — including moving the payload references — entirely in
-    C, with no per-call buffer marshaling and no per-entry field reads.
+    The base addresses of both are cached on the view and handed to the
+    state kernels (:meth:`~repro._native.NativeKernel.state_upsert`,
+    ``state_select``, ``state_oldest``, …) as plain integers, so the
+    kernels walk the columns — including moving the payload references —
+    entirely in C, with no per-call buffer marshaling and no per-entry
+    field reads.  Two ownership rules follow:
+
+    * **Addresses are refreshed on reallocation.**  :meth:`_allocate` is
+      the only place the block moves, and it rebinds the row views and
+      the cached addresses together.
+    * **The payload column holds references.**  ``_pobj`` keeps the
+      :class:`ViewEntry` objects alive; the kernels that move them
+      (``state_upsert``, ``state_select``, ``state_trim_drop``) do the
+      reference counting.
 
     Slot order replicates dict insertion-order semantics exactly —
     replacement keeps the slot, insertion appends, deletion compacts
     preserving relative order — and every method draws RNG exactly as its
     :class:`View` counterpart, so a fixed-seed run is **bitwise
-    identical** under either backend (the array-state equivalence tests
-    enforce this end to end).
+    identical** under either class (the view-parity tests enforce this
+    end to end).
 
     Node ids and timestamps must fit ``int64`` (every simulation id is a
-    small int; exotic keys belong on the legacy backend).
+    small int; exotic keys belong on :class:`View`).
 
     Columnar shipments are described by a ``(ref, stride, count)`` tuple
     — the backing ``(3, stride)`` array (kept alive by the tuple), its
@@ -528,11 +541,19 @@ class ArrayView:
         "_index",
         "_index_tag",
         "_mutations",
+        "_nk",
     )
 
     def __init__(self, capacity: int, owner_id: int) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"view capacity must be > 0, got {capacity}")
+        nk = _native()
+        if nk is None:
+            raise ConfigurationError(
+                "ArrayView needs the compiled native kernels; use View "
+                "(or make_view) when they are not loaded"
+            )
+        self._nk = nk
         self.capacity = int(capacity)
         self.owner_id = int(owner_id)
         self._n = 0
@@ -585,7 +606,7 @@ class ArrayView:
             return size
         size = descriptor_wire_size(entry)
         # mutable / foreign profile-likes take no memo: store a sentinel so
-        # wire sums recompute them per call, exactly like the legacy walk
+        # wire sums recompute them per call, exactly like View's walk
         if getattr(profile, "wire_cache", None) is None:
             return -1
         return size
@@ -594,12 +615,12 @@ class ArrayView:
         """Keep exactly the slots in *sel* (any order), in ``sel`` order.
 
         The shared backend of compaction and ranked reordering: one
-        ``state_select`` kernel call, or the equivalent numpy gather.
+        ``state_select`` kernel call, or the equivalent numpy gather when
+        the kernel cannot allocate its scratch.
         """
         k = sel.size
         n = self._n
-        nk = _native()
-        if nk is None or not nk.state_select(
+        if not self._nk.state_select(
             self._cols_addr, self._alloc, self._pobj_addr, n, sel, k
         ):
             self._cols[:, :k] = self._cols[:, :n][:, sel]
@@ -654,23 +675,13 @@ class ArrayView:
     def oldest(self) -> ViewEntry | None:
         """The entry with the smallest ``(timestamp, node_id)`` key.
 
-        The native tier resolves the tail selection in one pass over the
-        columns; the numpy fallback takes a min + tie-scan.  Both produce
-        the same slot as the legacy ``min(entries, key=(ts, nid))``.
+        One ``state_oldest`` pass over the columns: the same slot as
+        :class:`View`'s ``min(entries, key=(ts, nid))``.
         """
         n = self._n
         if n == 0:
             return None
-        nk = _native()
-        if nk is not None:
-            slot = nk.state_oldest(self._cols_addr, self._alloc, n)
-            if slot >= 0:
-                return self._pobj[slot]
-        ts = self._ts[:n]
-        tied = np.nonzero(ts == ts.min())[0]
-        if tied.size == 1:
-            return self._pobj[int(tied[0])]
-        return self._pobj[int(tied[int(self._ids[tied].argmin())])]
+        return self._pobj[self._nk.state_oldest(self._cols_addr, self._alloc, n)]
 
     def is_full(self) -> bool:
         return self._n >= self.capacity
@@ -685,14 +696,8 @@ class ArrayView:
         entry's slot, or ``-1`` when absent.
         """
         n = self._n
-        nk = _native()
-        if nk is not None:
-            slot = nk.state_find(self._cols_addr, self._alloc, n, exclude)
-            return (n if slot < 0 else n - 1), slot
-        hits = np.nonzero(self._ids[:n] == exclude)[0]
-        if hits.size == 0:
-            return n, -1
-        return n - 1, int(hits[0])
+        slot = self._nk.state_find(self._cols_addr, self._alloc, n, exclude)
+        return (n if slot < 0 else n - 1), slot
 
     def ship_selected(
         self,
@@ -710,25 +715,13 @@ class ArrayView:
         ``(shipped_entries, cols, wire)`` — the payload list for the
         message, the shipment's ``(ref, stride, count)`` column block
         (own descriptor row first), and its total modelled wire size
-        (``None`` when a descriptor was not memoisable).  Off the native
-        tier the columns are skipped entirely — the receiver's merge
-        would not consume them.
+        (``None`` when a descriptor was not memoisable).
         """
-        nk = _native()
         own_wire = self._wire_of(own_entry)
         k = 0 if sel is None else sel.size
-        if nk is None:
-            if k:
-                if excl_slot >= 0:
-                    sel = sel + (sel >= excl_slot)
-                pobj = self._pobj
-                shipped = [pobj[i] for i in sel.tolist()]
-            else:
-                shipped = []
-            return shipped, None, None
         out = np.empty((3, k + 1), dtype=np.int64)
         if k:
-            total = nk.state_ship(
+            total = self._nk.state_ship(
                 self._cols_addr,
                 self._alloc,
                 sel,
@@ -761,11 +754,9 @@ class ArrayView:
         Same return shape as :meth:`ship_selected`.
         """
         n = self._n
-        nk = _native()
+        nk = self._nk
         own_wire = self._wire_of(own_entry)
         pobj = self._pobj
-        if nk is None:
-            return self.entries_except(exclude), None, None
         s = nk.state_find(self._cols_addr, self._alloc, n, exclude)
         k = n if s < 0 else n - 1
         out = np.empty((3, k + 1), dtype=np.int64)
@@ -835,22 +826,20 @@ class ArrayView:
     ) -> None:
         """Merge a *columnar shipment*: entries plus their shipped columns.
 
-        With columns and the native tier, the whole freshest-wins merge —
-        id lookups, timestamp compares, wire accounting, payload-reference
-        moves — runs in one ``state_upsert`` kernel call with zero
-        marshaling.  Without columns (or off the native tier) this is
-        exactly :meth:`upsert_all`; both apply identical replacements in
-        identical order.
+        With columns, the whole freshest-wins merge — id lookups,
+        timestamp compares, wire accounting, payload-reference moves —
+        runs in one ``state_upsert`` kernel call with zero marshaling.
+        Without columns this is exactly :meth:`upsert_all`; both apply
+        identical replacements in identical order.
         """
-        nk = _native()
-        if cols is None or nk is None or not isinstance(entries, (tuple, list)):
+        if cols is None or not isinstance(entries, (tuple, list)):
             self.upsert_all(entries)
             return
         inc, stride, count = cols
         if count == 0:
             return
         self._reserve(count)
-        new_n, applied = nk.state_upsert(
+        new_n, applied = self._nk.state_upsert(
             self._cols_addr,
             self._alloc,
             self._pobj_addr,
@@ -868,7 +857,7 @@ class ArrayView:
 
     def upsert_all(self, entries: Iterable[ViewEntry]) -> None:
         """Bulk :meth:`upsert` — the same sequential freshest-wins loop
-        as the legacy dict, applied to the columns, so both backends make
+        as :class:`View`, applied to the columns, so both backends make
         identical replacements in identical order.  Columnar shipments
         take :meth:`upsert_columns` instead, which runs the loop in C.
         """
@@ -938,23 +927,22 @@ class ArrayView:
     def trim_random(self, rng: np.random.Generator) -> None:
         """Shrink to capacity by keeping a uniform random sample.
 
-        Draws the same ``rng.permutation`` prefix as the legacy backend,
-        so both consume identical randomness and keep identical peers.
+        Draws the same ``rng.permutation`` prefix as :class:`View`, so
+        both consume identical randomness and keep identical peers.
         """
         n = self._n
         excess = n - self.capacity
         if excess <= 0:
             return
         drop = rng.permutation(n)[:excess]
-        nk = _native()
-        if nk is not None:
-            new_n = nk.state_trim_drop(
-                self._cols_addr, self._alloc, self._pobj_addr, n, drop, excess
-            )
-            if new_n >= 0:
-                self._n = new_n
-                self._mutations += 1
-                return
+        new_n = self._nk.state_trim_drop(
+            self._cols_addr, self._alloc, self._pobj_addr, n, drop, excess
+        )
+        if new_n >= 0:
+            self._n = new_n
+            self._mutations += 1
+            return
+        # the kernel could not allocate its scratch: same compaction in numpy
         keep_mask = np.ones(n, dtype=bool)
         keep_mask[drop] = False
         self._select(np.nonzero(keep_mask)[0])
@@ -992,7 +980,7 @@ class ArrayView:
 
         *entries* must be the slot-aligned snapshot the caller just
         scored; the state block is rebuilt by one gather pass in rank
-        order — the same kept order as the legacy dict rebuild.
+        order — the same kept order as :class:`View`'s dict rebuild.
         """
         n = self._n
         if len(entries) == n and (n == 0 or entries[0] is self._pobj[0]):
@@ -1029,18 +1017,17 @@ class ArrayView:
         """Ranked trim from scores aligned with an :meth:`entries` snapshot.
 
         When the snapshot aligns with the slots (the hot case), the
-        native ``rank_topk`` kernel reads the timestamp/id columns
-        directly — no per-entry ``fromiter`` marshaling — and the Python
-        fallback runs the same ``(score, timestamp, -node_id)`` tuple
-        sort as the legacy backend.
+        ``rank_topk`` kernel reads the timestamp/id columns directly — no
+        per-entry ``fromiter`` marshaling.  Small pools, unaligned
+        snapshots and non-numeric scores take the same
+        ``(score, timestamp, -node_id)`` tuple sort as :class:`View`.
         """
         k = len(entries)
         if k <= self.capacity:
             return
-        nk = _native()
-        if nk is not None and k >= _NATIVE_TRIM_MIN_ROWS and k == self._n:
+        if k >= _NATIVE_TRIM_MIN_ROWS and k == self._n:
             try:
-                keep = nk.rank_topk(
+                keep = self._nk.rank_topk(
                     np.asarray(scores, dtype=np.float64),
                     self._ts[:k],
                     self._ids[:k],
@@ -1080,7 +1067,7 @@ class ArrayView:
         if n == 0 or sizes.min() >= 0:
             return int(sizes.sum())
         # sentinel slots (non-memoisable profiles) re-measure per call,
-        # matching the legacy walk's behaviour for mutable profile-likes
+        # matching View's walk for mutable profile-likes
         total = 0
         entries = self._pobj[:n].tolist()
         for i, size in enumerate(sizes.tolist()):
@@ -1109,13 +1096,14 @@ class ArrayView:
 
 
 def make_view(capacity: int, owner_id: int) -> "View | ArrayView":
-    """Construct a view on the active state plane.
+    """Construct a view for a protocol.
 
-    The facade factory every protocol goes through: array-backed columns
-    by default, the legacy dict store under ``REPRO_ARRAY_STATE=0`` (see
-    :mod:`repro.core.arraystate`).  Both backends expose the same API and
+    The factory every protocol goes through: :class:`ArrayView` when the
+    native kernels are loaded and enabled at construction, the dict-backed
+    :class:`View` otherwise (its pure-Python bookkeeping beats the columns
+    when no compiled kernel drives them).  Both expose the same API and
     produce bitwise-identical outcomes at fixed seeds.
     """
-    if array_state_enabled():
+    if native_kernel_enabled():
         return ArrayView(capacity, owner_id)
     return View(capacity, owner_id)

@@ -32,9 +32,9 @@ views at fixed seeds.  ``REPRO_BATCH_DELIVERY=0`` (or
 pipeline everywhere — the equivalence benchmarks and the CI scalar leg run
 both paths and assert identical outcomes.
 
-This gate composes freely with the array-state gate
-(:mod:`repro.core.arraystate`): the delivery pipeline only touches node
-state through the view/profile facades, so any pipeline × state-plane
+This gate composes freely with the view layout (``ArrayView`` with the
+native kernels, ``View`` without): the delivery pipeline only touches node
+state through the view/profile facades, so any pipeline × layout
 combination produces the same bits (asserted by the churn equivalence
 grid in ``tests/test_delivery_batch.py``).
 """

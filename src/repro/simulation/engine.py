@@ -31,11 +31,10 @@ receive their whole cycle inbox at once, and event logging happens in bulk
 appends.  Outcomes are bitwise-identical to the scalar path at fixed seeds;
 ``REPRO_BATCH_DELIVERY=0`` restores the scalar pipeline.
 
-The engine itself is state-plane agnostic: node views and profiles live
-behind the facade of :mod:`repro.gossip.views` / :mod:`repro.core.profiles`,
-which serves either the array-backed columnar layout (default) or the
-legacy dict structures (``REPRO_ARRAY_STATE=0``, see
-:mod:`repro.core.arraystate`) with identical observable behaviour.
+The engine itself is view-layout agnostic: node views live behind the
+facade of :mod:`repro.gossip.views`, which serves the columnar
+``ArrayView`` when the native kernels are loaded and the dict ``View``
+otherwise, with identical observable behaviour.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ def assert_purge_matches_remove_loop(
     Two item profiles are built from the same *entries* (``(id, ts,
     score)`` in insertion order).  With *shared* each is a copy-on-write
     clone of its own owner; with *warm* its packed memo is built first, so
-    the purge derives the next pack instead of leaving it to a rebuild.
+    the purge must leave no stale pack behind.
     Compares the exact ``_norm2`` bits, dict key order, the liked set,
     the version and the pack columns (against a fresh rebuild too), and
     checks that a shared purge leaves the owner untouched.

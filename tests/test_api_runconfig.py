@@ -21,7 +21,6 @@ import pytest
 from repro._native import native_kernel_enabled
 from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state_enabled
 from repro.core.gates import env_flag
 from repro.core.similarity import batch_scoring, batch_scoring_enabled
 from repro.datasets import survey_dataset
@@ -43,22 +42,20 @@ VARIANT = dict(
     batch_sim=False,
     batch_delivery=False,
     native=False,
-    array_state=False,
 )
 
 
-def _gates() -> tuple[bool, bool, bool, bool]:
+def _gates() -> tuple[bool, bool, bool]:
     return (
         batch_scoring_enabled(),
         delivery_batching_enabled(),
         native_kernel_enabled(),
-        array_state_enabled(),
     )
 
 
-def test_has_exactly_the_four_pipeline_gates():
+def test_has_exactly_the_three_pipeline_gates():
     names = [f.name for f in dataclasses.fields(RunConfig)]
-    assert names == ["batch_sim", "batch_delivery", "native", "array_state"]
+    assert names == ["batch_sim", "batch_delivery", "native"]
 
 
 class TestEnvParity:
@@ -72,7 +69,7 @@ class TestEnvParity:
     def test_as_env_roundtrips_every_field(self):
         cfg = RunConfig(**VARIANT)
         env = cfg.as_env()
-        assert env["REPRO_ARRAY_STATE"] == "0"
+        assert env["REPRO_NATIVE"] == "0"
         assert RunConfig.from_env(env) == cfg
 
     def test_from_env_parses_module_spellings(self):
@@ -80,7 +77,6 @@ class TestEnvParity:
             "REPRO_BATCH_SIM": "OFF",
             "REPRO_NATIVE": "No",
             "REPRO_BATCH_DELIVERY": "false",
-            "REPRO_ARRAY_STATE": "off",
         }
         assert RunConfig.from_env(env) == RunConfig(**VARIANT)
 
@@ -98,11 +94,14 @@ class TestEnvParity:
         assert all(env_flag(name, env=env) for name in env)
 
     def test_validation_rejects_bad_fields(self):
-        # the retired multi-process knobs are not fields any more
+        # the retired multi-process and array-state knobs are not fields
+        # any more (the view layout follows the native kernels)
         with pytest.raises(TypeError, match="shards"):
             RunConfig(shards=2)
         with pytest.raises(TypeError, match="wire_tier"):
             RunConfig().replace(wire_tier="columns")
+        with pytest.raises(TypeError, match="array_state"):
+            RunConfig(array_state=False)
 
     def test_frozen_and_replace(self):
         cfg = RunConfig()
@@ -116,13 +115,13 @@ class TestEnvParity:
 class TestApply:
     # the restore assertions compare against *captured* prior state, not
     # hard-coded defaults — the tier-1 CI legs run this suite under env
-    # gates (REPRO_BATCH_SIM=0, REPRO_ARRAY_STATE=0, …) and apply() must
+    # gates (REPRO_BATCH_SIM=0, REPRO_NATIVE=0, …) and apply() must
     # put back whatever was set, defaults or not
 
     def test_apply_sets_and_restores_everything(self):
         before = _gates()
         with RunConfig(**VARIANT).apply():
-            assert _gates() == (False, False, False, False)
+            assert _gates() == (False, False, False)
         assert _gates() == before
 
     def test_apply_restores_on_exception(self):

@@ -1,21 +1,25 @@
-"""Array-state plane: unit parity and fixed-seed equivalence tests.
+"""View layouts: unit parity and fixed-seed equivalence tests.
 
-The array-backed state plane (``REPRO_ARRAY_STATE``, PR 4) swaps the view
-and packed-profile internals — dict/NamedTuple stores become preallocated
-columns with native bookkeeping kernels — while keeping every externally
-observable outcome **bitwise identical** at fixed seeds.  These tests
-enforce that promise at three levels:
+:func:`~repro.gossip.views.make_view` builds the columnar
+:class:`ArrayView` when the native kernels are loaded and the dict
+:class:`View` otherwise.  Both must keep every externally observable
+outcome **bitwise identical** at fixed seeds.  These tests enforce that
+promise at three levels:
 
 * *operation parity* — mirrored random op sequences on :class:`View` and
   :class:`ArrayView` leave identical entries, order, RNG state and wire
-  sizes, on the native and pure-Python tiers alike;
-* *pack parity* — the journaled/incremental packed-profile maintenance
-  produces arrays element-identical to a from-scratch rebuild after any
-  mutation mix (set/remove/purge/integrate/copy/snapshot);
+  sizes, with the dict view on the native and pure-Python tiers alike;
+* *pack parity* — a profile's version-keyed packed arrays equal a
+  from-scratch rebuild after any mutation mix
+  (set/remove/purge/integrate/copy/snapshot);
 * *end-to-end equivalence* — full fixed-seed simulations (small + medium,
   plus churn and cold-start joins) leave identical logs, profiles, views,
-  duplicates and traffic bytes on the legacy (``REPRO_ARRAY_STATE=0``)
-  and array planes, across the scalar/batch/native similarity tiers.
+  duplicates and traffic bytes whether the nodes were built with
+  :class:`View` or :class:`ArrayView`, across the scalar/batch/native
+  similarity tiers.
+
+``ArrayView`` needs the compiled kernels, so the view classes are
+skipped without them.
 """
 
 from __future__ import annotations
@@ -23,12 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import (
-    array_state,
-    array_state_enabled,
-    set_array_state,
-)
 from repro.core.profiles import (
     FrozenProfile,
     ItemProfile,
@@ -46,11 +46,17 @@ from repro.gossip.rps import RpsProtocol
 from repro.gossip.vicinity import ClusteringProtocol
 from repro.gossip.views import ArrayView, View, ViewEntry, make_view
 from repro.simulation.churn import ChurnModel
+from repro.utils.exceptions import ConfigurationError
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="native extension not built"
+)
 
 
 @pytest.fixture(autouse=True)
-def _restore_array_state():
-    with array_state(array_state_enabled()):
+def _native_on():
+    """Pin the native gate on (a CI leg may run with ``REPRO_NATIVE=0``)."""
+    with native_kernel(True):
         yield
 
 
@@ -64,37 +70,33 @@ def entry(nid: int, ts: int = 0, likes: tuple = ()) -> ViewEntry:
     return ViewEntry(nid, f"10.0.0.{nid}", profile, ts)
 
 
+@needs_native
 class TestGate:
-    def test_toggle_returns_previous(self):
-        first = set_array_state(False)
-        assert set_array_state(first) is False
-        assert array_state_enabled() is first
-
-    def test_context_manager_restores_on_error(self):
-        before = array_state_enabled()
-        with pytest.raises(RuntimeError), array_state(not before):
-            assert array_state_enabled() is (not before)
-            raise RuntimeError("boom")
-        assert array_state_enabled() is before
+    """The view layout follows the native gate at construction."""
 
     def test_factory_honours_gate(self):
-        with array_state(True):
+        with RunConfig().apply():
             assert isinstance(make_view(5, owner_id=1), ArrayView)
-        with array_state(False):
+        with native_kernel(False):
             assert isinstance(make_view(5, owner_id=1), View)
 
+    def test_arrayview_requires_kernel(self):
+        with native_kernel(False), pytest.raises(ConfigurationError):
+            ArrayView(5, owner_id=1)
 
+
+@needs_native
 class TestViewOperationParity:
     """Mirrored op sequences must leave both backends bit-identical."""
 
     @pytest.mark.parametrize("native", [True, False], ids=["native", "pure"])
     def test_random_op_sequences(self, native):
-        if native and not native_available():
-            pytest.skip("native extension not built")
+        """*native* picks the tier the dict view's ranked trim runs on;
+        the array view keeps the kernel it was built with."""
+        array = ArrayView(5, owner_id=99)
         with native_kernel(native):
             ops_rng = np.random.default_rng(17)
             legacy = View(5, owner_id=99)
-            array = ArrayView(5, owner_id=99)
             g1 = np.random.default_rng(42)
             g2 = np.random.default_rng(42)
             for step in range(400):
@@ -171,6 +173,7 @@ class TestViewOperationParity:
         assert ref.entries() == v.entries()
 
 
+@needs_native
 class TestColumnarShipments:
     """The shipped column blocks must agree with the walked measures."""
 
@@ -183,65 +186,59 @@ class TestColumnarShipments:
         return a, b
 
     def test_rps_wire_precompute_matches_walk(self):
-        with array_state(True):
-            a, b = self._protocol_pair()
-            prof = UserProfile()
-            prof.record_opinion(5, 0, True)
-            snap = prof.snapshot()
-            for now in range(20):
-                started = a.initiate(snap, now)
-                assert started is not None
-                _partner, msg = started
-                walked = 1 + sum(_descriptor_size(e) for e in msg.entries)
-                assert msg.wire_size() == walked
-                reply = b.handle(msg, snap, now)
-                if reply is not None:
-                    assert reply.wire_size() == 1 + sum(
-                        _descriptor_size(e) for e in reply.entries
-                    )
-                    a.handle(reply, snap, now)
-
-    def test_clustering_wire_precompute_matches_walk(self):
-        with array_state(True):
-            proto = ClusteringProtocol(
-                0, 6, "wup", np.random.default_rng(3)
-            )
-            for nid in range(1, 7):
-                proto.view.upsert(entry(nid, ts=nid, likes=(nid,)))
-            prof = UserProfile()
-            prof.record_opinion(1, 0, True)
-            started = proto.initiate(prof.snapshot(), 9)
+        a, b = self._protocol_pair()
+        prof = UserProfile()
+        prof.record_opinion(5, 0, True)
+        snap = prof.snapshot()
+        for now in range(20):
+            started = a.initiate(snap, now)
             assert started is not None
             _partner, msg = started
-            assert msg.wire_size() == 1 + sum(
-                _descriptor_size(e) for e in msg.entries
-            )
+            walked = 1 + sum(_descriptor_size(e) for e in msg.entries)
+            assert msg.wire_size() == walked
+            reply = b.handle(msg, snap, now)
+            if reply is not None:
+                assert reply.wire_size() == 1 + sum(
+                    _descriptor_size(e) for e in reply.entries
+                )
+                a.handle(reply, snap, now)
+
+    def test_clustering_wire_precompute_matches_walk(self):
+        proto = ClusteringProtocol(0, 6, "wup", np.random.default_rng(3))
+        for nid in range(1, 7):
+            proto.view.upsert(entry(nid, ts=nid, likes=(nid,)))
+        prof = UserProfile()
+        prof.record_opinion(1, 0, True)
+        started = proto.initiate(prof.snapshot(), 9)
+        assert started is not None
+        _partner, msg = started
+        assert msg.wire_size() == 1 + sum(
+            _descriptor_size(e) for e in msg.entries
+        )
 
     def test_upsert_columns_equals_upsert_all(self):
-        with array_state(True):
-            a, _b = self._protocol_pair()
-            prof = UserProfile()
-            snap = prof.snapshot()
-            payload, _wire, cols = a._shipment(snap, 9, exclude=4)
-            via_cols = ArrayView(8, owner_id=50)
-            via_cols.upsert_columns(payload, cols)
-            via_all = ArrayView(8, owner_id=50)
-            via_all.upsert_all(payload)
-            assert via_cols.entries() == via_all.entries()
-            assert via_cols.wire_size() == via_all.wire_size()
+        a, _b = self._protocol_pair()
+        prof = UserProfile()
+        snap = prof.snapshot()
+        payload, _wire, cols = a._shipment(snap, 9, exclude=4)
+        assert cols is not None
+        via_cols = ArrayView(8, owner_id=50)
+        via_cols.upsert_columns(payload, cols)
+        via_all = ArrayView(8, owner_id=50)
+        via_all.upsert_all(payload)
+        assert via_cols.entries() == via_all.entries()
+        assert via_cols.wire_size() == via_all.wire_size()
 
     def test_entries_with_columns_alignment(self):
-        with array_state(True):
-            a, _b = self._protocol_pair()
-            entries, cols = a.view.entries_with_columns()
-            assert [e.node_id for e in entries] == a.view.node_ids()
-            if cols is not None:
-                _ref, _stride, count = cols
-                assert count == len(entries)
-        with array_state(False):
+        a, _b = self._protocol_pair()
+        entries, cols = a.view.entries_with_columns()
+        assert [e.node_id for e in entries] == a.view.node_ids()
+        _ref, _stride, count = cols
+        assert count == len(entries)
+        with native_kernel(False):
             legacy = RpsProtocol(1, 8, np.random.default_rng(0))
-            entries, cols = legacy.view.entries_with_columns()
-            assert cols is None
+        entries, cols = legacy.view.entries_with_columns()
+        assert cols is None
 
 
 def _descriptor_size(e: ViewEntry) -> int:
@@ -251,7 +248,12 @@ def _descriptor_size(e: ViewEntry) -> int:
 
 
 class TestPackJournalParity:
-    """Journaled pack maintenance == from-scratch rebuild, element-wise."""
+    """Memoised packs == a from-scratch rebuild, element-wise.
+
+    The set-op journal these once checked is retired: packs are now a
+    version-keyed lazy memo, and these tests pin that it never goes stale
+    across any mutation mix and that clones share it safely.
+    """
 
     @staticmethod
     def _assert_pack_matches(profile, where):
@@ -263,116 +265,89 @@ class TestPackJournalParity:
         assert pack.norm == fresh.norm, where
 
     def test_user_profile_mutation_mix(self):
-        with array_state(True):
-            rng = np.random.default_rng(3)
-            profile = UserProfile()
-            for _ in range(60):
-                profile.set(
-                    int(rng.integers(0, 10_000)),
+        rng = np.random.default_rng(3)
+        profile = UserProfile()
+        for _ in range(60):
+            profile.set(
+                int(rng.integers(0, 10_000)),
+                int(rng.integers(0, 30)),
+                float(rng.integers(0, 2)),
+            )
+        profile.packed()
+        for step in range(200):
+            op = rng.integers(5)
+            if op <= 1:
+                for _ in range(int(rng.integers(1, 6))):
+                    profile.set(
+                        int(rng.integers(0, 10_000)),
+                        int(rng.integers(0, 40)),
+                        float(rng.integers(0, 2)),
+                    )
+            elif op == 2:
+                ids = list(profile.scores)
+                profile.remove(ids[int(rng.integers(len(ids)))])
+            elif op == 3:
+                profile.purge_older_than(int(rng.integers(0, 25)))
+            else:
+                profile.snapshot()
+            self._assert_pack_matches(profile, step)
+
+    def test_item_profile_integrate_and_clone_chain(self):
+        rng = np.random.default_rng(7)
+        item = ItemProfile()
+        for _ in range(40):
+            item.set(
+                int(rng.integers(0, 5_000)),
+                int(rng.integers(0, 30)),
+                float(rng.random()),
+            )
+        item.packed()
+        for step in range(30):
+            liker = UserProfile()
+            for _ in range(int(rng.integers(5, 60))):
+                liker.set(
+                    int(rng.integers(0, 5_000)),
                     int(rng.integers(0, 30)),
                     float(rng.integers(0, 2)),
                 )
-            profile.packed()  # start the journal chain
-            for step in range(200):
-                op = rng.integers(5)
-                if op <= 1:
-                    for _ in range(int(rng.integers(1, 6))):
-                        profile.set(
-                            int(rng.integers(0, 10_000)),
-                            int(rng.integers(0, 40)),
-                            float(rng.integers(0, 2)),
-                        )
-                elif op == 2:
-                    ids = list(profile.scores)
-                    profile.remove(ids[int(rng.integers(len(ids)))])
-                elif op == 3:
-                    profile.purge_older_than(int(rng.integers(0, 25)))
-                else:
-                    profile.snapshot()
-                self._assert_pack_matches(profile, step)
-
-    def test_item_profile_integrate_and_clone_chain(self):
-        with array_state(True):
-            rng = np.random.default_rng(7)
-            item = ItemProfile()
-            for _ in range(40):
-                item.set(
-                    int(rng.integers(0, 5_000)),
-                    int(rng.integers(0, 30)),
-                    float(rng.random()),
-                )
-            item.packed()
-            for step in range(30):
-                liker = UserProfile()
-                for _ in range(int(rng.integers(5, 60))):
-                    liker.set(
-                        int(rng.integers(0, 5_000)),
-                        int(rng.integers(0, 30)),
-                        float(rng.integers(0, 2)),
-                    )
-                item.integrate(liker)
-                # the merged pack rides the mutation: no rebuild needed
-                assert item._pack_memo is not None
-                assert item._pack_memo[0] == item.version
-                self._assert_pack_matches(item, f"integrate {step}")
-                item.purge_older_than(int(rng.integers(0, 20)))
-                self._assert_pack_matches(item, f"purge {step}")
-                clone = item.copy()
-                self._assert_pack_matches(clone, f"clone {step}")
-                if step % 2:
-                    item = clone
+            item.integrate(liker)
+            self._assert_pack_matches(item, f"integrate {step}")
+            item.purge_older_than(int(rng.integers(0, 20)))
+            self._assert_pack_matches(item, f"purge {step}")
+            clone = item.copy()
+            self._assert_pack_matches(clone, f"clone {step}")
+            if step % 2:
+                item = clone
 
     def test_cow_clone_shares_pack_columns(self):
-        with array_state(True):
-            item = ItemProfile()
-            for i in range(30):
-                item.set(i, 0, 0.5)
-            pack = item.packed()
-            clone = item.copy()
-            assert clone.packed().rated_ids is pack.rated_ids
-            # mutating the clone must not corrupt the parent's pack
-            clone.set(999, 1, 1.0)
-            assert np.array_equal(item.packed().rated_ids, pack.rated_ids)
-            assert 999 not in item.scores
-
-    def test_snapshot_adoption_matches_lazy_pack(self):
-        with array_state(True):
-            rng = np.random.default_rng(11)
-            profile = UserProfile()
-            for _ in range(50):
-                profile.set(int(rng.integers(0, 10_000)), 0, 1.0)
-            first = profile.snapshot()
-            _ = first.rated_ids  # packing evidences that snapshots score
-            profile.set(123456, 1, 1.0)
-            profile.set(99, 1, 0.0)
-            second = profile.snapshot()
-            assert second._rated_ids is not None  # adopted, not lazy
-            reference = FrozenProfile(profile.scores, is_binary=True)
-            assert np.array_equal(second.rated_ids, reference.rated_ids)
-            assert np.array_equal(
-                second.rated_scores, reference.rated_scores
-            )
-            assert np.array_equal(second.liked_ids, reference.liked_ids)
-            assert second.norm == reference.norm
-
-    def test_freeze_adopts_warm_pack(self):
-        with array_state(True):
-            item = ItemProfile()
-            for i in range(40):
-                item.set(i, 0, 0.25)
-            pack = item.packed()
-            frozen = item.freeze()
-            assert frozen._rated_ids is pack.rated_ids
+        item = ItemProfile()
+        for i in range(30):
+            item.set(i, 0, 0.5)
+        pack = item.packed()
+        clone = item.copy()
+        assert clone.packed().rated_ids is pack.rated_ids
+        # mutating the clone must not corrupt the parent's pack
+        clone.set(999, 1, 1.0)
+        assert np.array_equal(item.packed().rated_ids, pack.rated_ids)
+        assert 999 not in item.scores
 
     def test_legacy_gate_keeps_lazy_discipline(self):
-        with array_state(False):
-            profile = UserProfile()
-            for i in range(60):
-                profile.set(i, 0, 1.0)
-            profile.packed()
-            profile.set(1000, 1, 1.0)
-            snap = profile.snapshot()
-            assert snap._rated_ids is None  # packs stay fully lazy
+        """Snapshots and frozen copies sort their own arrays on first use;
+        a warm profile pack is never adopted."""
+        profile = UserProfile()
+        for i in range(60):
+            profile.set(i, 0, 1.0)
+        profile.packed()
+        profile.set(1000, 1, 1.0)
+        profile.packed()
+        snap = profile.snapshot()
+        assert snap._rated_ids is None
+        assert np.array_equal(snap.rated_ids, profile.packed().rated_ids)
+        item = ItemProfile()
+        for i in range(40):
+            item.set(i, 0, 0.25)
+        item.packed()
+        assert item.freeze()._rated_ids is None
 
 
 def _full_state(system: WhatsUpSystem) -> dict:
@@ -397,22 +372,25 @@ def _full_state(system: WhatsUpSystem) -> dict:
     }
 
 
+@needs_native
 class TestEndToEndEquivalence:
-    """Legacy vs array state plane: bitwise-identical runs at fixed seeds."""
+    """View vs ArrayView nodes: bitwise-identical runs at fixed seeds.
+
+    *arrays_on* is the native gate while the system is *built*, which
+    picks the view class; every run then executes on the same tier.
+    """
 
     @staticmethod
     def _run(scale, dataset, f_like, cycles, arrays_on, *, churn=None, seed=5):
-        with array_state(arrays_on):
-            default_score_cache().clear()
-            data = SCALES[scale].dataset(dataset, seed=seed)
-            churn_model = (
-                ChurnModel(**churn) if churn is not None else None
-            )
+        default_score_cache().clear()
+        data = SCALES[scale].dataset(dataset, seed=seed)
+        churn_model = ChurnModel(**churn) if churn is not None else None
+        with native_kernel(arrays_on):
             system = WhatsUpSystem(
                 data, WhatsUpConfig(f_like=f_like), seed=seed,
                 churn=churn_model,
             )
-            system.engine.run(cycles)
+        system.engine.run(cycles)
         state = _full_state(system)
         if churn is not None:
             state["kills"] = churn_model.total_kills
@@ -442,23 +420,18 @@ class TestEndToEndEquivalence:
         ["scalar", "batch", "native"],
     )
     def test_three_way_tiers_by_plane(self, tier):
-        """legacy/array × similarity tier: every combination identical."""
-        if tier == "native" and not native_available():
-            pytest.skip("native extension not built")
+        """View/ArrayView × similarity tier: every combination identical."""
         batch = tier != "scalar"
         native = tier == "native"
 
         def run(arrays_on):
-            with (
-                batch_scoring(batch),
-                native_kernel(native),
-                array_state(arrays_on),
-            ):
+            with batch_scoring(batch), native_kernel(native):
                 default_score_cache().clear()
                 data = SCALES["small"].dataset("synthetic", seed=9)
-                system = WhatsUpSystem(
-                    data, WhatsUpConfig(f_like=6), seed=9
-                )
+                with native_kernel(arrays_on):
+                    system = WhatsUpSystem(
+                        data, WhatsUpConfig(f_like=6), seed=9
+                    )
                 system.engine.run(20)
             return _full_state(system)
 
@@ -471,22 +444,21 @@ class TestEndToEndEquivalence:
         """Mid-run cold-start joins: inherited views + bootstrap ratings."""
 
         def run(arrays_on):
-            with array_state(arrays_on):
-                default_score_cache().clear()
-                data = SCALES["small"].dataset("survey", seed=13)
-                system = WhatsUpSystem(
-                    data, WhatsUpConfig(f_like=8), seed=13
-                )
-                system.engine.run(10)
-                # three joiners bootstrap via the paper's cold-start path
-                base = max(system.engine.nodes) + 1
+            default_score_cache().clear()
+            data = SCALES["small"].dataset("survey", seed=13)
+            with native_kernel(arrays_on):
+                system = WhatsUpSystem(data, WhatsUpConfig(f_like=8), seed=13)
+            system.engine.run(10)
+            # three joiners bootstrap via the paper's cold-start path
+            base = max(system.engine.nodes) + 1
+            with native_kernel(arrays_on):
                 for j in range(3):
                     system.join_node(
                         base + j,
                         opinion=_thirds_opinion,
                         contact_id=j * 7,
                     )
-                system.engine.run(10)
+            system.engine.run(10)
             return _full_state(system)
 
         legacy = run(False)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,3 +346,26 @@ def test_synthetic_generator_properties(n_users, n_comm, items_per, seed):
     assert ds.likes.any(axis=0).all()  # every item liked by someone
     for idx, item in enumerate(ds.items):
         assert ds.likes[item.source, idx]
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    """networkx is paid for only by the graph paths that use it.
+
+    Datasets annotate their social graph with it and the Digg generator
+    and graph metrics import it when called, so importing the package
+    (the CLI, every simulation) must not load it.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, repro, repro.core.system, repro.experiments, repro.cli; "
+        "print('networkx' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

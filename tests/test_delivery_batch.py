@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state, array_state_enabled
 from repro.core.news import ItemCopy, NewsItem
 from repro.core.similarity import (
     batch_scoring,
@@ -115,16 +114,17 @@ class TestChurnEquivalence:
     aged views, and kill/revive interleaving with the batched receipt
     loop.  A fixed-seed medium run with an active :class:`ChurnModel`
     must leave identical logs, duplicates, profiles, views, traffic and
-    churn counters under the scalar, batch and native paths.
+    churn counters under the scalar, batch and native paths.  The native
+    run also builds its views as ``ArrayView`` (the others as the dict
+    ``View``), so the comparison crosses the view layouts too.
     """
 
     @staticmethod
-    def _run_churned(batch: bool, native: bool, arrays: bool | None = None):
+    def _run_churned(batch: bool, native: bool):
         with (
             delivery_batching(batch),
             batch_scoring(batch),
             native_kernel(native),
-            array_state(array_state_enabled() if arrays is None else arrays),
         ):
             default_score_cache().clear()
             data = SCALES["medium"].dataset("survey", seed=11)
@@ -148,18 +148,6 @@ class TestChurnEquivalence:
             nat = self._run_churned(batch=True, native=True)
             for key in scalar:
                 assert scalar[key] == nat[key], f"{key} differs (native)"
-            # the state plane crossed with the pipeline tiers: the array
-            # and legacy layouts must agree under churn as well
-            legacy_state = self._run_churned(
-                batch=True, native=True, arrays=False
-            )
-            array_plane = self._run_churned(
-                batch=True, native=True, arrays=True
-            )
-            for key in scalar:
-                assert legacy_state[key] == array_plane[key], (
-                    f"{key} differs (state plane)"
-                )
 
 
 class _CountingNode(BaseNode):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.arraystate import array_state
 from repro.core.profiles import (
     FrozenProfile,
     ItemProfile,
@@ -130,17 +129,15 @@ def _graded_entries(n: int, seed: int) -> list[tuple[int, int, float]]:
 class TestPurgeParity:
     """One-pass purge ≡ the reference ``remove()`` loop, bit for bit."""
 
-    @pytest.mark.parametrize("array_plane", [True, False])
     @pytest.mark.parametrize("warm", [True, False])
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("n", [40, 10])
-    def test_purge_matches_remove_loop(self, n, shared, warm, array_plane):
+    def test_purge_matches_remove_loop(self, n, shared, warm):
         entries = _graded_entries(n, seed=n)
-        with array_state(array_plane):
-            for cutoff in (0, 5, 10, 20):
-                assert_purge_matches_remove_loop(
-                    entries, cutoff, shared=shared, warm=warm
-                )
+        for cutoff in (0, 5, 10, 20):
+            assert_purge_matches_remove_loop(
+                entries, cutoff, shared=shared, warm=warm
+            )
 
     def test_user_profile_purge_keeps_order_and_bits(self):
         p = make_user_profile([1, 2, 3], dislikes=[4], timestamp=0)

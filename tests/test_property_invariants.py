@@ -1,16 +1,15 @@
 """Property-based invariants (hypothesis).
 
-Equivalence contracts the array state plane rests on, checked over
+Equivalence contracts the node-state layer rests on, checked over
 *generated* operation sequences rather than one fixed seed:
 
 * **View ↔ ArrayView mirrored ops** — any sequence of upserts, removals,
   evictions and trims leaves the columnar backend observably identical to
   the dict-backed one (entries, order, oldest-selection, wire accounting,
   RNG consumption).
-* **Pack-journal merge = naive replay** — a :class:`Profile`'s memoised
-  :class:`PackedView`, advanced incrementally through the set-op journal,
-  always equals the pack a fresh profile would build from scratch after
-  the same mutations.
+* **Memoised pack = naive replay** — a :class:`Profile`'s version-keyed
+  :class:`PackedView` memo, consumed between mutations, always equals the
+  pack a fresh profile would build from scratch after the same mutations.
 * **One-pass purge = remove() loop** — the window purge leaves exactly the
   state one ``remove()`` per stale entry would, float bits included.
 
@@ -23,9 +22,10 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arraystate import array_state
+from repro._native import native_available, native_kernel
 from repro.core.profiles import FrozenProfile, Profile
 from repro.gossip.views import ArrayView, View, ViewEntry
 from tests.conftest import assert_purge_matches_remove_loop
@@ -67,10 +67,12 @@ def _entry(nid: int, ts: int, likes: frozenset) -> ViewEntry:
     return ViewEntry(nid, f"10.0.0.{nid}", profile, ts)
 
 
+@pytest.mark.skipif(not native_available(), reason="native extension not built")
 @given(ops=_view_ops, capacity=st.integers(min_value=1, max_value=8))
 def test_arrayview_mirrors_dict_view(ops, capacity):
     legacy = View(capacity, owner_id=99)
-    array = ArrayView(capacity, owner_id=99)
+    with native_kernel(True):
+        array = ArrayView(capacity, owner_id=99)
     for op in ops:
         if op[0] == "upsert":
             e = _entry(op[1], op[2], op[3])
@@ -114,9 +116,10 @@ def test_arrayview_mirrors_dict_view(ops, capacity):
 def test_bulk_upsert_equals_sequential(shipment):
     """``upsert_all`` is observably the fold of per-entry ``upsert``."""
     entries = [_entry(nid, ts, frozenset()) for nid, ts in shipment]
-    for cls in (View, ArrayView):
-        bulk = cls(6, owner_id=99)
-        seq = cls(6, owner_id=99)
+    for cls in (View, ArrayView) if native_available() else (View,):
+        with native_kernel(True):
+            bulk = cls(6, owner_id=99)
+            seq = cls(6, owner_id=99)
         bulk.upsert_all(entries)
         for e in entries:
             seq.upsert(e)
@@ -124,7 +127,7 @@ def test_bulk_upsert_equals_sequential(shipment):
 
 
 # --------------------------------------------------------------------------- #
-# pack-journal merge = naive replay                                           #
+# memoised pack = naive replay                                               #
 # --------------------------------------------------------------------------- #
 
 _set_op = st.tuples(
@@ -152,26 +155,25 @@ def _apply(profile: Profile, ops, consume_packs: bool) -> None:
         elif op[0] == "purge":
             profile.purge_older_than(op[1])
         elif consume_packs:
-            profile.packed()  # start/advance a journal chain
+            profile.packed()  # memoise the pack at this version
 
 
 @given(ops=_profile_ops)
 def test_pack_journal_merge_equals_naive_replay(ops):
-    """Journaled packs match a from-scratch rebuild after any op mix.
+    """A memoised pack matches a from-scratch rebuild after any op mix.
 
-    The journaled profile consumes ``packed()`` mid-sequence (creating
-    memo + journal chains that later ops advance through the vectorised
-    merge); the naive profile replays the same mutations and builds its
-    pack exactly once at the end, from its dict store alone.
+    The memoised profile consumes ``packed()`` mid-sequence, so later
+    mutations must leave no stale memo behind (this once checked the
+    retired set-op journal; it now checks the version-keyed memo that
+    replaced it); the naive profile replays the same mutations and builds
+    its pack exactly once at the end, from its dict store alone.
     """
-    with array_state(True):
-        journaled = Profile()
-        _apply(journaled, ops, consume_packs=True)
-        merged = journaled.packed()
-    with array_state(False):
-        naive = Profile()
-        _apply(naive, ops, consume_packs=False)
-        rebuilt = naive.packed()
+    memoised = Profile()
+    _apply(memoised, ops, consume_packs=True)
+    merged = memoised.packed()
+    naive = Profile()
+    _apply(naive, ops, consume_packs=False)
+    rebuilt = naive.packed()
 
     np.testing.assert_array_equal(merged.rated_ids, rebuilt.rated_ids)
     np.testing.assert_array_equal(merged.rated_scores, rebuilt.rated_scores)
@@ -179,18 +181,17 @@ def test_pack_journal_merge_equals_naive_replay(ops):
     assert merged.norm == rebuilt.norm
     assert merged.is_binary == rebuilt.is_binary
     # the pack is a pure derivation: the canonical dict stores agree too
-    assert journaled.scores == naive.scores
-    assert sorted(journaled.liked) == sorted(naive.liked)
-    assert journaled.norm == naive.norm
+    assert memoised.scores == naive.scores
+    assert sorted(memoised.liked) == sorted(naive.liked)
+    assert memoised.norm == naive.norm
 
 
 @given(ops=_profile_ops)
 def test_pack_memo_is_version_stable(ops):
     """Consuming ``packed()`` twice with no mutation returns one object."""
-    with array_state(True):
-        profile = Profile()
-        _apply(profile, ops, consume_packs=True)
-        assert profile.packed() is profile.packed()
+    profile = Profile()
+    _apply(profile, ops, consume_packs=True)
+    assert profile.packed() is profile.packed()
 
 
 _purge_entries = st.lists(
@@ -209,15 +210,13 @@ _purge_entries = st.lists(
     cutoff=st.integers(min_value=0, max_value=41),
     shared=st.booleans(),
     warm=st.booleans(),
-    array_plane=st.booleans(),
 )
-def test_one_pass_purge_equals_remove_loop(entries, cutoff, shared, warm, array_plane):
+def test_one_pass_purge_equals_remove_loop(entries, cutoff, shared, warm):
     """The window purge ≡ one ``remove()`` per stale entry, bit for bit.
 
     Exact ``_norm2`` bits, key order of both dicts, the liked set, the
     version and the pack columns, on shared (copy-on-write) and unshared
-    profiles, with and without a warm packed memo, on either state plane.
+    profiles, with and without a warm packed memo.
     """
-    with array_state(array_plane):
-        assert_purge_matches_remove_loop(entries, cutoff, shared=shared, warm=warm)
+    assert_purge_matches_remove_loop(entries, cutoff, shared=shared, warm=warm)
 

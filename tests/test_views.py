@@ -1,8 +1,8 @@
 """Unit tests for the gossip view data structure.
 
-Parametrised over both state-plane backends — the legacy dict-backed
-:class:`View` and the columnar :class:`ArrayView` — so every facade
-behaviour is pinned on each storage layout.  Tests go through the public
+Parametrised over both view classes — the dict-backed :class:`View` and
+the columnar :class:`ArrayView` (which needs the native kernels) — so
+every facade behaviour is pinned on each storage layout.  Tests go through the public
 facade only (no ``_entries``-style internals), so a storage swap cannot
 silently bypass them.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro._native import native_available, native_kernel
 from repro.core.profiles import FrozenProfile
 from repro.gossip.views import ArrayView, View, ViewEntry, descriptor_wire_size
 from repro.utils.exceptions import ConfigurationError
@@ -19,7 +20,13 @@ from repro.utils.exceptions import ConfigurationError
 @pytest.fixture(params=["legacy", "array"])
 def view_cls(request):
     """The view backend under test (both must behave identically)."""
-    return View if request.param == "legacy" else ArrayView
+    if request.param == "legacy":
+        yield View
+        return
+    if not native_available():
+        pytest.skip("native extension not built")
+    with native_kernel(True):
+        yield ArrayView
 
 
 def entry(node_id: int, ts: int = 0, likes: tuple[int, ...] = ()) -> ViewEntry:
